@@ -45,14 +45,22 @@ def _padded(coeffs: list[str], width: int) -> list[str]:
     return coeffs + ["0"] * (width - len(coeffs))
 
 
+def _cell(value) -> str:
+    # payload values as CSV text: booleans as in JSON, floats by repr
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
+# Each handler returns the payload fields that follow the envelope (schema,
+# command and, when the command takes one, stencil), the CSV header, and the
+# CSV rows built from those same payload values.
+
+
 def _cmd_tau(args: argparse.Namespace):
     n_max = 21 if args.order is None else args.order
     if n_max < 0:
         raise ValidationError("order must be nonnegative")
     values = [str(tau(n)) for n in range(n_max + 1)]
-    payload = {"schema": SCHEMA, "command": "tau", "n_max": n_max, "values": values}
-    rows = [[str(n), v] for n, v in enumerate(values)]
-    return payload, ["n", "tau"], rows
+    return {"n_max": n_max, "values": values}, ["n", "tau"], list(enumerate(values))
 
 
 def _cmd_vandermonde(args: argparse.Namespace):
@@ -61,40 +69,32 @@ def _cmd_vandermonde(args: argparse.Namespace):
     vi = inv_vandermonde(s)
     if vi.matmul(v) != CoeffTable.identity(s.m + 1):
         raise InvariantError(f"inverse check failed for stencil {s}")
-    payload = {
-        "schema": SCHEMA,
-        "command": "vandermonde",
-        "stencil": [s.m_minus, s.m_plus],
-        "matrix": v.to_strings(),
-        "inverse": vi.to_strings(),
-    }
-    rows = []
-    for name, table in (("V", v), ("V_inverse", vi)):
-        for i in range(table.rows):
-            for j in range(table.cols):
-                rows.append([name, str(i), str(j), str(table[i, j])])
-    return payload, ["matrix", "row", "col", "value"], rows
+    body = {"matrix": v.to_strings(), "inverse": vi.to_strings()}
+    rows = [
+        [name, i, j, value]
+        for name, key in (("V", "matrix"), ("V_inverse", "inverse"))
+        for i, row in enumerate(body[key])
+        for j, value in enumerate(row)
+    ]
+    return body, ["matrix", "row", "col", "value"], rows
 
 
 def _cmd_basis(args: argparse.Namespace):
     s = _stencil(args)
     b = basis(s)
-    fc = face_coeffs(s)
-    payload = {
-        "schema": SCHEMA,
-        "command": "basis",
-        "stencil": [s.m_minus, s.m_plus],
+    body = {
         "alpha_f": [p.to_strings() for p in b.alpha_f],
         "alpha_h": [p.to_strings() for p in b.alpha_h],
-        "face_coeffs": [str(c) for c in fc],
+        "face_coeffs": [str(c) for c in face_coeffs(s)],
     }
     width = s.m + 1
     header = ["family", "offset"] + [f"c{k}" for k in range(width)]
-    rows = []
-    for name, family in (("alpha_f", b.alpha_f), ("alpha_h", b.alpha_h)):
-        for offset, p in zip(s.offsets(), family):
-            rows.append([name, str(offset)] + _padded(p.to_strings(), width))
-    return payload, header, rows
+    rows = [
+        [name, offset] + _padded(coeffs, width)
+        for name in ("alpha_f", "alpha_h")
+        for offset, coeffs in zip(s.offsets(), body[name])
+    ]
+    return body, header, rows
 
 
 def _cmd_face_coeffs(args: argparse.Namespace):
@@ -102,207 +102,164 @@ def _cmd_face_coeffs(args: argparse.Namespace):
     fc = face_coeffs(s)
     if fc != face_coeffs_shu_oracle(s):
         raise InvariantError(f"face coefficients of {s} disagree with the product-form oracle")
-    payload = {
-        "schema": SCHEMA,
-        "command": "face-coeffs",
-        "stencil": [s.m_minus, s.m_plus],
-        "face_coeffs": [str(c) for c in fc],
-    }
-    rows = [[str(offset), str(c)] for offset, c in zip(s.offsets(), fc)]
-    return payload, ["offset", "coeff"], rows
+    body = {"face_coeffs": [str(c) for c in fc]}
+    return body, ["offset", "coeff"], list(zip(s.offsets(), body["face_coeffs"]))
+
+
+def _coeff_rows(terms: list[dict], *keys: str) -> tuple[list[str], list[list]]:
+    # one row per term: the named fields, then the coefficients padded to a
+    # common width
+    width = max(len(t["coeffs"]) for t in terms)
+    header = list(keys) + [f"c{k}" for k in range(width)]
+    rows = [[t[key] for key in keys] + _padded(t["coeffs"], width) for t in terms]
+    return header, rows
 
 
 def _cmd_error_poly(args: argparse.Namespace):
     s = _stencil(args)
     exp = error_expansion(s, args.kind, args.order)
-    payload = {
-        "schema": SCHEMA,
-        "command": "error-poly",
-        "stencil": [s.m_minus, s.m_plus],
-        "kind": args.kind,
-        "terms": [{"order": n, "coeffs": _poly_strings(p)} for n, p in exp.terms],
-    }
-    width = max(p.degree for _, p in exp.terms) + 1
-    header = ["order"] + [f"c{k}" for k in range(width)]
-    rows = [[str(n)] + _padded(p.to_strings(), width) for n, p in exp.terms]
-    return payload, header, rows
+    terms = [{"order": n, "coeffs": _poly_strings(p)} for n, p in exp.terms]
+    return {"kind": args.kind, "terms": terms}, *_coeff_rows(terms, "order")
 
 
 def _cmd_lambda(args: argparse.Namespace):
     s = _stencil(args)
     exp = error_expansion(s, f"lambda-{args.kind}", args.order)
     half = Fraction(1, 2)
-    payload = {
-        "schema": SCHEMA,
-        "command": "lambda",
-        "stencil": [s.m_minus, s.m_plus],
-        "kind": f"lambda-{args.kind}",
-        "terms": [
-            {"order": n, "coeffs": _poly_strings(p), "face_value": str(poly_eval(p, half))}
-            for n, p in exp.terms
-        ],
-    }
-    width = max(p.degree for _, p in exp.terms) + 1
-    header = ["order", "face_value"] + [f"c{k}" for k in range(width)]
-    rows = [
-        [str(n), str(poly_eval(p, half))] + _padded(p.to_strings(), width)
+    terms = [
+        {"order": n, "coeffs": _poly_strings(p), "face_value": str(poly_eval(p, half))}
         for n, p in exp.terms
     ]
-    return payload, header, rows
+    return {"kind": exp.kind, "terms": terms}, *_coeff_rows(terms, "order", "face_value")
 
 
 def _cmd_weights(args: argparse.Namespace):
     s = _stencil(args)
     family = sigma_weights(s, args.levels)
-    at_half = family.values_at(Fraction(1, 2))
-    payload = {
-        "schema": SCHEMA,
-        "command": "weights",
-        "stencil": [s.m_minus, s.m_plus],
-        "levels": args.levels,
-        "weights": [
-            {
-                "k_s": k,
-                "num": _poly_strings(w.num),
-                "den": _poly_strings(w.den),
-                "at_half": str(v),
-            }
-            for k, (w, v) in enumerate(zip(family.weights, at_half))
-        ],
-    }
-    width = max(max(w.num.degree, w.den.degree) for w in family.weights) + 1
+    weights = [
+        {"k_s": k, "num": _poly_strings(w.num), "den": _poly_strings(w.den), "at_half": str(v)}
+        for k, (w, v) in enumerate(zip(family.weights, family.values_at(Fraction(1, 2))))
+    ]
+    width = max(max(len(w["num"]), len(w["den"])) for w in weights)
     header = ["k_s", "part"] + [f"c{k}" for k in range(width)]
-    rows = []
-    for k, w in enumerate(family.weights):
-        rows.append([str(k), "num"] + _padded(w.num.to_strings(), width))
-        rows.append([str(k), "den"] + _padded(w.den.to_strings(), width))
-    return payload, header, rows
+    rows = [[w["k_s"], part] + _padded(w[part], width) for w in weights for part in ("num", "den")]
+    return {"levels": args.levels, "weights": weights}, header, rows
 
 
 def _cmd_poles(args: argparse.Namespace):
     s = _stencil(args)
-    family = sigma_weights(s, args.levels)
-    reports = sigma_pole_analysis(family)
-    payload = {
-        "schema": SCHEMA,
-        "command": "poles",
-        "stencil": [s.m_minus, s.m_plus],
-        "levels": args.levels,
-        "reports": [
-            {
-                "k_s": r.k_s,
-                "den_degree": r.denominator.degree,
-                "real_roots": r.real_root_count,
-                "intervals": [[str(lo), str(hi)] for lo, hi in r.isolating_intervals],
-            }
-            for r in reports
-        ],
-    }
-    rows = []
-    for r in reports:
-        if not r.isolating_intervals:
-            rows.append([str(r.k_s), str(r.denominator.degree), "0", "", ""])
-        for lo, hi in r.isolating_intervals:
-            rows.append(
-                [str(r.k_s), str(r.denominator.degree), str(r.real_root_count), str(lo), str(hi)]
-            )
-    return payload, ["k_s", "den_degree", "real_roots", "interval_lo", "interval_hi"], rows
+    reports = [
+        {
+            "k_s": r.k_s,
+            "den_degree": r.denominator.degree,
+            "real_roots": r.real_root_count,
+            "intervals": [[str(lo), str(hi)] for lo, hi in r.isolating_intervals],
+        }
+        for r in sigma_pole_analysis(sigma_weights(s, args.levels))
+    ]
+    # a root-free denominator still gets a row, with empty interval ends
+    rows = [
+        [r["k_s"], r["den_degree"], r["real_roots"], lo, hi]
+        for r in reports
+        for lo, hi in r["intervals"] or [("", "")]
+    ]
+    header = ["k_s", "den_degree", "real_roots", "interval_lo", "interval_hi"]
+    return {"levels": args.levels, "reports": reports}, header, rows
 
 
 def _cmd_positivity(args: argparse.Namespace):
-    scan = positivity_scan(args.extent)
-    payload = {
-        "schema": SCHEMA,
-        "command": "positivity",
-        "extent": args.extent,
-        "rows": [
-            {
-                "m_minus": r.stencil.m_minus,
-                "m_plus": r.stencil.m_plus,
-                "levels": r.levels,
-                "in_condition": r.in_condition,
-                "all_positive": r.all_positive,
-            }
-            for r in scan
-        ],
-    }
-    rows = [
-        [
-            str(r.stencil.m_minus),
-            str(r.stencil.m_plus),
-            str(r.levels),
-            str(r.in_condition).lower(),
-            str(r.all_positive).lower(),
-        ]
-        for r in scan
+    scan = [
+        {
+            "m_minus": r.stencil.m_minus,
+            "m_plus": r.stencil.m_plus,
+            "levels": r.levels,
+            "in_condition": r.in_condition,
+            "all_positive": r.all_positive,
+        }
+        for r in positivity_scan(args.extent)
     ]
-    return payload, ["m_minus", "m_plus", "levels", "in_condition", "all_positive"], rows
+    header = ["m_minus", "m_plus", "levels", "in_condition", "all_positive"]
+    return {"extent": args.extent, "rows": scan}, header, [list(r.values()) for r in scan]
 
 
 def _cmd_beta(args: argparse.Namespace):
     s = _stencil(args)
-    form = beta_form(s, face_centered=args.face_centered)
-    payload = {
-        "schema": SCHEMA,
-        "command": "beta",
-        "stencil": [s.m_minus, s.m_plus],
-        "face_centered": args.face_centered,
-        "matrix": form.matrix.to_strings(),
-    }
-    header = ["row"] + [f"c{k}" for k in range(form.matrix.cols)]
-    rows = [[str(i)] + list(form.matrix.to_strings()[i]) for i in range(form.matrix.rows)]
-    return payload, header, rows
+    matrix = beta_form(s, face_centered=args.face_centered).matrix.to_strings()
+    header = ["row"] + [f"c{k}" for k in range(len(matrix))]
+    rows = [[i] + row for i, row in enumerate(matrix)]
+    return {"face_centered": args.face_centered, "matrix": matrix}, header, rows
 
 
 def _cmd_converge(args: argparse.Namespace):
     s = _stencil(args)
     report = convergence_study(s, args.target, args.levels, args.window)
-    payload = {
-        "schema": SCHEMA,
-        "command": "converge",
-        "stencil": [s.m_minus, s.m_plus],
+    body = {
         "target": report.target,
         "grid_sizes": list(report.grid_sizes),
         "errors": list(report.errors),
         "fitted_order": report.fitted_order,
         "fit_indices": list(report.fit_indices),
     }
-    rows = [
-        [repr(dx), repr(err), repr(report.fitted_order)]
-        for dx, err in zip(report.grid_sizes, report.errors)
-    ]
-    return payload, ["dx", "error", "fitted_order"], rows
+    rows = [[dx, err, report.fitted_order] for dx, err in zip(report.grid_sizes, report.errors)]
+    return body, ["dx", "error", "fitted_order"], rows
 
 
 def _cmd_check_noninterp(args: argparse.Namespace):
     s = _stencil(args)
-    gap = non_interpolation_check(s, args.dx)
-    slope = halving_slope(s, args.dx, args.halvings)
-    payload = {
-        "schema": SCHEMA,
-        "command": "check-noninterp",
-        "stencil": [s.m_minus, s.m_plus],
+    body = {
         "delta_x": args.dx,
-        "max_mismatch": gap,
-        "halving_slope": slope,
+        "max_mismatch": non_interpolation_check(s, args.dx),
+        "halving_slope": halving_slope(s, args.dx, args.halvings),
     }
-    rows = [[repr(args.dx), repr(gap), repr(slope)]]
-    return payload, ["delta_x", "max_mismatch", "halving_slope"], rows
+    return body, ["delta_x", "max_mismatch", "halving_slope"], [list(body.values())]
 
 
-def _add_stencil_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--stencil",
-        nargs=2,
-        type=int,
-        metavar=("M-", "M+"),
-        required=True,
-        help="cells to the left and right of the pivot",
-    )
+def _opt(*flags: str, **kwargs) -> tuple:
+    return flags, kwargs
 
 
-def _add_format_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
+_STENCIL = _opt(
+    "--stencil",
+    nargs=2,
+    type=int,
+    metavar=("M-", "M+"),
+    required=True,
+    help="cells to the left and right of the pivot",
+)
+_KIND = _opt("--kind", choices=("f", "h"), default="h", help="interpolation or reconstruction")
+_ORDER = _opt("--order", type=int, default=None, help="largest order (default M+5)")
+_LEVELS = _opt("--levels", type=int, default=1, help="subdivision level K (default 1)")
+
+#: name, handler, help and options of every subcommand; each also takes --format
+_COMMANDS = (
+    ("tau", _cmd_tau, "deconvolution coefficients tau_n",
+     [_opt("--order", type=int, default=None, help="largest index (default 21)")]),
+    ("vandermonde", _cmd_vandermonde, "stencil node-power matrix and its exact inverse",
+     [_STENCIL]),
+    ("basis", _cmd_basis, "interpolating and reconstructing basis polynomials", [_STENCIL]),
+    ("face-coeffs", _cmd_face_coeffs, "face-value coefficients of the stencil", [_STENCIL]),
+    ("error-poly", _cmd_error_poly, "pivot-derivative error polynomials",
+     [_STENCIL, _ORDER, _KIND]),
+    ("lambda", _cmd_lambda, "local-derivative error polynomials and face constants",
+     [_STENCIL, _ORDER, _KIND]),
+    ("weights", _cmd_weights, "substencil weight-functions", [_STENCIL, _LEVELS]),
+    ("poles", _cmd_poles, "real-root census of the weight denominators", [_STENCIL, _LEVELS]),
+    ("positivity", _cmd_positivity, "positivity scan of the linear weights",
+     [_opt("--extent", type=int, default=3, help="largest |M-|, |M+| to scan (default 3)")]),
+    ("beta", _cmd_beta, "smoothness-indicator quadratic form",
+     [_STENCIL,
+      _opt("--face-centered", action="store_true",
+           help="integrate over the face-centered interval (0, 1) instead of (-1/2, 1/2)")]),
+    ("converge", _cmd_converge, "observed order on the exponential test problem",
+     [_STENCIL,
+      _opt("--target", choices=("face", "derivative"), default="face"),
+      _opt("--levels", type=int, default=7, help="grid levels (default 7)"),
+      _opt("--window", type=int, default=4, help="fit-window size (default 4)")]),
+    ("check-noninterp", _cmd_check_noninterp, "nodal mismatch of the reconstruction on exp",
+     [_STENCIL,
+      _opt("--dx", type=float, default=0.01, help="grid width (default 1/100)"),
+      _opt("--halvings", type=int, default=2, help="extra halvings for the slope fit")]),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -311,90 +268,19 @@ def _build_parser() -> argparse.ArgumentParser:
         description="exact reconstruction stencils, error constants, and weights",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("tau", help="deconvolution coefficients tau_n")
-    p.add_argument("--order", type=int, default=None, help="largest index (default 21)")
-    p.set_defaults(handler=_cmd_tau)
-    _add_format_flag(p)
-
-    p = sub.add_parser("vandermonde", help="stencil node-power matrix and its exact inverse")
-    _add_stencil_flag(p)
-    p.set_defaults(handler=_cmd_vandermonde)
-    _add_format_flag(p)
-
-    p = sub.add_parser("basis", help="interpolating and reconstructing basis polynomials")
-    _add_stencil_flag(p)
-    p.set_defaults(handler=_cmd_basis)
-    _add_format_flag(p)
-
-    p = sub.add_parser("face-coeffs", help="face-value coefficients of the stencil")
-    _add_stencil_flag(p)
-    p.set_defaults(handler=_cmd_face_coeffs)
-    _add_format_flag(p)
-
-    p = sub.add_parser("error-poly", help="pivot-derivative error polynomials")
-    _add_stencil_flag(p)
-    p.add_argument("--order", type=int, default=None, help="largest order (default M+5)")
-    p.add_argument("--kind", choices=("f", "h"), default="h", help="interpolation or reconstruction")
-    p.set_defaults(handler=_cmd_error_poly)
-    _add_format_flag(p)
-
-    p = sub.add_parser("lambda", help="local-derivative error polynomials and face constants")
-    _add_stencil_flag(p)
-    p.add_argument("--order", type=int, default=None, help="largest order (default M+5)")
-    p.add_argument("--kind", choices=("f", "h"), default="h", help="interpolation or reconstruction")
-    p.set_defaults(handler=_cmd_lambda)
-    _add_format_flag(p)
-
-    p = sub.add_parser("weights", help="substencil weight-functions")
-    _add_stencil_flag(p)
-    p.add_argument("--levels", type=int, default=1, help="subdivision level K (default 1)")
-    p.set_defaults(handler=_cmd_weights)
-    _add_format_flag(p)
-
-    p = sub.add_parser("poles", help="real-root census of the weight denominators")
-    _add_stencil_flag(p)
-    p.add_argument("--levels", type=int, default=1, help="subdivision level K (default 1)")
-    p.set_defaults(handler=_cmd_poles)
-    _add_format_flag(p)
-
-    p = sub.add_parser("positivity", help="positivity scan of the linear weights")
-    p.add_argument("--extent", type=int, default=3, help="largest |M-|, |M+| to scan (default 3)")
-    p.set_defaults(handler=_cmd_positivity)
-    _add_format_flag(p)
-
-    p = sub.add_parser("beta", help="smoothness-indicator quadratic form")
-    _add_stencil_flag(p)
-    p.add_argument(
-        "--face-centered",
-        action="store_true",
-        help="integrate over the face-centered interval (0, 1) instead of (-1/2, 1/2)",
-    )
-    p.set_defaults(handler=_cmd_beta)
-    _add_format_flag(p)
-
-    p = sub.add_parser("converge", help="observed order on the exponential test problem")
-    _add_stencil_flag(p)
-    p.add_argument("--target", choices=("face", "derivative"), default="face")
-    p.add_argument("--levels", type=int, default=7, help="grid levels (default 7)")
-    p.add_argument("--window", type=int, default=4, help="fit-window size (default 4)")
-    p.set_defaults(handler=_cmd_converge)
-    _add_format_flag(p)
-
-    p = sub.add_parser("check-noninterp", help="nodal mismatch of the reconstruction on exp")
-    _add_stencil_flag(p)
-    p.add_argument("--dx", type=float, default=0.01, help="grid width (default 1/100)")
-    p.add_argument("--halvings", type=int, default=2, help="extra halvings for the slope fit")
-    p.set_defaults(handler=_cmd_check_noninterp)
-    _add_format_flag(p)
-
+    for name, handler, help_text, options in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flags, kwargs in options:
+            p.add_argument(*flags, **kwargs)
+        p.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: "list[str] | None" = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        payload, header, rows = args.handler(args)
+        body, header, rows = args.handler(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -402,11 +288,14 @@ def main(argv: "list[str] | None" = None) -> int:
         print(f"invariant violated: {exc}", file=sys.stderr)
         return 3
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        payload = {"schema": SCHEMA, "command": args.command}
+        if getattr(args, "stencil", None) is not None:
+            payload["stencil"] = list(args.stencil)
+        print(json.dumps({**payload, **body}, indent=2))
     else:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows([_cell(v) for v in row] for row in rows)
     return 0
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb, factorial
 
-from .exact import PowerSeries, RatPoly, ValidationError, series_divide
+from .exact import RatPoly, _int
 
 __all__ = [
     "deconv_forward_coeff",
@@ -27,14 +27,16 @@ __all__ = [
     "double_inverse_coeff",
     "shifted_taylor_poly",
     "tau",
-    "tau_gf_oracle",
 ]
 
 
 def _index(n: int) -> int:
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise ValidationError("index must be a nonnegative integer")
-    return n
+    return _int(n, "index must be a nonnegative integer", lo=0)
+
+
+#: tau_{2k} by k.  Entries are added in increasing k and only ever read
+#: below the one being filled, so the table never has gaps.
+_TAU_EVEN = {0: Fraction(1)}
 
 
 @cache
@@ -46,37 +48,19 @@ def tau(n: int) -> Fraction:
         tau_{2k} = - sum_{s=1}^{k} tau_{2k-2s} / (2^(2s) (2s+1)!),
 
     which is the convolution identity forcing the forward and inverse
-    deconvolution maps to be mutual inverses.  Successful values are memoized,
-    and the memo behaves as an idempotent cache: the recurrence is
-    deterministic, so concurrent fills of the same index agree.
+    deconvolution maps to be mutual inverses.  The recurrence is filled
+    bottom-up, so a cold call at any index never recurses.  Successful values
+    are memoized, and the memo behaves as an idempotent cache: the recurrence
+    is deterministic, so concurrent fills of the same index agree.
     """
     _index(n)
-    if n == 0:
-        return Fraction(1)
     if n % 2:
         return Fraction(0)
-    k = n // 2
-    return -sum(tau(2 * k - 2 * s) / (4**s * factorial(2 * s + 1)) for s in range(1, k + 1))
-
-
-def tau_gf_oracle(n: int) -> Fraction:
-    """n-th Taylor coefficient of (x/2)/sinh(x/2), by exact series division.
-
-    Independent derivation path for `tau`: expand sinh(x/2)/(x/2) directly
-    and divide 1 by it.  The jet is carried two orders past n to guard the
-    last coefficient.
-    """
-    _index(n)
-    order = n + 2
-    cs = []
-    for k in range(order + 1):
-        if k % 2:
-            cs.append(Fraction(0))
-        else:
-            m = k // 2
-            cs.append(Fraction(1, 4**m * factorial(2 * m + 1)))
-    one = PowerSeries.of([1], order=order)
-    return series_divide(one, PowerSeries(tuple(cs)), order).coeff(n)
+    for k in range(len(_TAU_EVEN), n // 2 + 1):
+        _TAU_EVEN[k] = -sum(
+            _TAU_EVEN[k - s] / (4**s * factorial(2 * s + 1)) for s in range(1, k + 1)
+        )
+    return _TAU_EVEN[n // 2]
 
 
 def deconv_forward_coeff(l: int) -> Fraction:

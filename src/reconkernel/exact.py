@@ -1,4 +1,4 @@
-"""Exact rational scalars, polynomials, rational functions, and power series.
+"""Exact rational scalars, polynomials, and rational functions.
 
 Everything this package computes is a rational number or a polynomial with
 rational coefficients, so the core algebra runs on `fractions.Fraction` and
@@ -16,7 +16,6 @@ from typing import Iterable, Sequence, Union
 __all__ = [
     "ExactRational",
     "InvariantError",
-    "PowerSeries",
     "RatFunction",
     "RatPoly",
     "Rational",
@@ -28,7 +27,6 @@ __all__ = [
     "poly_eval",
     "poly_gcd",
     "poly_sliding_average",
-    "series_divide",
     "sturm_real_root_count",
 ]
 
@@ -56,6 +54,18 @@ def _rat(x: Rational) -> Fraction:
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise ValidationError(f"expected an exact rational, got {type(x).__name__}")
+
+
+def _int(x: object, message: str, lo: "int | None" = None, hi: "int | None" = None) -> int:
+    """x itself when it is an int (never a bool) within [lo, hi]; else ValidationError."""
+    if (
+        isinstance(x, bool)
+        or not isinstance(x, int)
+        or (lo is not None and x < lo)
+        or (hi is not None and x > hi)
+    ):
+        raise ValidationError(message)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -90,8 +100,7 @@ class RatPoly:
 
     @classmethod
     def monomial(cls, degree: int, coeff: Rational = 1) -> "RatPoly":
-        if degree < 0:
-            raise ValidationError("monomial degree must be nonnegative")
+        _int(degree, "monomial degree must be a nonnegative integer", lo=0)
         return cls((Fraction(0),) * degree + (_rat(coeff),))
 
     @property
@@ -149,8 +158,7 @@ class RatPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "RatPoly":
-        if not isinstance(n, int) or n < 0:
-            raise ValidationError("polynomial powers must be nonnegative integers")
+        _int(n, "polynomial powers must be nonnegative integers", lo=0)
         result = RatPoly.constant(1)
         base = self
         while n:
@@ -436,92 +444,6 @@ class RatFunction:
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return RatFunction.constant(other)
         return NotImplemented
-
-
-# ---------------------------------------------------------------------------
-# truncated power series
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PowerSeries:
-    """Taylor jet: coefficients of x^0 .. x^order, trailing zeros kept.
-
-    The truncation order is part of the value; sums and products truncate to
-    the shorter operand, so arithmetic never silently extends a result past
-    coefficients that are actually known.
-    """
-
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if not self.coeffs:
-            raise ValidationError("a power series stores at least its constant term")
-        object.__setattr__(self, "coeffs", tuple(_rat(c) for c in self.coeffs))
-
-    @classmethod
-    def of(cls, coeffs: Iterable[Rational], order: "int | None" = None) -> "PowerSeries":
-        cs = [_rat(c) for c in coeffs]
-        if order is not None:
-            if order < 0:
-                raise ValidationError("truncation order must be nonnegative")
-            cs = cs[: order + 1]
-            cs += [Fraction(0)] * (order + 1 - len(cs))
-        return cls(tuple(cs))
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coeff(self, k: int) -> Fraction:
-        if not 0 <= k <= self.order:
-            raise ValidationError(f"coefficient {k} is beyond the truncation order {self.order}")
-        return self.coeffs[k]
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return PowerSeries(tuple(self.coeffs[k] + other.coeffs[k] for k in range(n + 1)))
-
-    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                out[i + j] += a * other.coeffs[j]
-        return PowerSeries(tuple(out))
-
-
-def series_divide(a: PowerSeries, b: PowerSeries, order: int) -> PowerSeries:
-    """Quotient jet of a/b through the stated order, exact.
-
-    Operands are read as polynomials: coefficients above an operand's stored
-    order are exact zeros.  When an operand is itself a truncation of a longer
-    series, supply it zero-padded to the working order.
-    """
-    if order < 0:
-        raise ValidationError("truncation order must be nonnegative")
-    if b.coeffs[0] == 0:
-        raise ValidationError("division by a power series with zero constant term")
-
-    def at(series: PowerSeries, k: int) -> Fraction:
-        return series.coeffs[k] if k <= series.order else Fraction(0)
-
-    inv0 = b.coeffs[0]
-    q: list[Fraction] = []
-    for n in range(order + 1):
-        acc = at(a, n)
-        for k in range(1, n + 1):
-            bk = at(b, k)
-            if bk:
-                acc -= bk * q[n - k]
-        q.append(acc / inv0)
-    return PowerSeries(tuple(q))
 
 
 # ---------------------------------------------------------------------------

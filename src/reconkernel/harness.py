@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import exp, fsum, isfinite, log, sinh
 
 from .deconv import tau
-from .exact import ValidationError, poly_eval
+from .exact import ValidationError, _int, poly_eval
 from .recon import basis, face_coeffs
 from .vandermonde import Stencil
 
@@ -195,10 +195,8 @@ def convergence_study(
     """
     if target not in _TARGETS:
         raise ValidationError(f"target must be one of {_TARGETS}")
-    if isinstance(grid_levels, bool) or not isinstance(grid_levels, int) or grid_levels < 3:
-        raise ValidationError("at least 3 grid levels required")
-    if isinstance(fit_window, bool) or not isinstance(fit_window, int) or fit_window < 3:
-        raise ValidationError("fit window must span at least 3 points")
+    _int(grid_levels, "at least 3 grid levels required", lo=3)
+    _int(fit_window, "fit window must span at least 3 points", lo=3)
 
     face = face_coeffs(s)
     deriv = derivative_coeffs(s)
@@ -253,8 +251,7 @@ def non_interpolation_check(s: Stencil, delta_x: float) -> float:
 
 def halving_slope(s: Stencil, delta_x: float, halvings: int = 2) -> float:
     """Log-log slope of the nodal mismatch under successive width halvings."""
-    if isinstance(halvings, bool) or not isinstance(halvings, int) or halvings < 1:
-        raise ValidationError("at least one halving required")
+    _int(halvings, "at least one halving required", lo=1)
     widths = [delta_x / 2**j for j in range(halvings + 1)]
     gaps = [non_interpolation_check(s, w) for w in widths]
     if any(g <= 0.0 for g in gaps):

@@ -2,8 +2,8 @@
 
 A polynomial f of degree M has a unique polynomial h of the same degree whose
 unit-width sliding average is f.  The coefficient maps between the two are
-sparse triangular sums (`pair_f_from_h`, `pair_h_from_f`); the same maps in
-matrix form are upper unitriangular, giving an independent inversion route.
+sparse triangular sums (`pair_f_from_h`, `pair_h_from_f`); the second is the
+deconvolution map, and every reconstruction in the package goes through it.
 
 On a stencil, interpolating the cell averages f_{i+l} and deconvolving yields
 the reconstructing polynomial.  Both polynomials are expressed in a cardinal
@@ -20,7 +20,7 @@ from functools import cache
 from math import factorial
 from typing import Sequence, Union
 
-from .deconv import deconv_forward_coeff, tau
+from .deconv import tau
 from .exact import (
     InvariantError,
     RatPoly,
@@ -29,19 +29,16 @@ from .exact import (
     _rat,
     poly_eval,
 )
-from .vandermonde import CoeffTable, Stencil, comb0, inv_vandermonde
+from .vandermonde import Stencil, comb0, inv_vandermonde
 
 __all__ = [
     "PairCoeffs",
     "ReconstructionBasis",
     "basis",
-    "deconv_matrix",
-    "deconv_matrix_inverse",
     "face_coeffs",
     "face_coeffs_shu_oracle",
     "pair_f_from_h",
     "pair_h_from_f",
-    "unitriangular_inverse",
 ]
 
 CoeffList = Union[Sequence[Rational], "tuple[Fraction, ...]"]
@@ -121,68 +118,6 @@ class PairCoeffs:
         return cls(tuple(pair_f_from_h(ch)), ch)
 
 
-def unitriangular_inverse(u: CoeffTable) -> CoeffTable:
-    """Exact inverse of an upper unitriangular matrix.
-
-    Uses the backward recurrence inv[r][r+s] = -sum_{l=1}^{s} u[r][r+l] *
-    inv[r+l][r+s]; the inverse is again upper unitriangular.
-    """
-    n = u.rows
-    if u.cols != n:
-        raise ValidationError("matrix must be square")
-    for i in range(n):
-        if u[i, i] != 1:
-            raise ValidationError("matrix must have a unit diagonal")
-        for j in range(i):
-            if u[i, j] != 0:
-                raise ValidationError("matrix must be upper triangular")
-    inv = [[Fraction(0)] * n for _ in range(n)]
-    for r in range(n - 1, -1, -1):
-        inv[r][r] = Fraction(1)
-        for sdx in range(1, n - r):
-            inv[r][r + sdx] = -sum(
-                (u[r, r + l] * inv[r + l][r + sdx] for l in range(1, sdx + 1)), Fraction(0)
-            )
-    return CoeffTable.of(inv)
-
-
-def deconv_matrix(m: int) -> CoeffTable:
-    """Unitriangular matrix of the parity-respecting deconvolution map.
-
-    For a degree-m polynomial, the coefficients of indices m, m-2, m-4, ...
-    form a chain; with N = floor(m/2), row r of this (N+1)x(N+1) matrix maps
-    the h-chain to the f-chain: entry (N-l, N-l+k) = C(m-2l+2k, 2k) /
-    ((2k+1) 2^(2k)).
-    """
-    if isinstance(m, bool) or not isinstance(m, int) or m < 0:
-        raise ValidationError("degree must be a nonnegative integer")
-    n = m // 2
-    rows = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
-    for l in range(n + 1):
-        r = n - l
-        for k in range(l + 1):
-            rows[r][r + k] = Fraction(comb0(m - 2 * l + 2 * k, 2 * k), (2 * k + 1) * 4**k)
-    return CoeffTable.of(rows)
-
-
-def deconv_matrix_inverse(m: int) -> CoeffTable:
-    """Closed form for the inverse of `deconv_matrix`.
-
-    Entry (N-l, N-l+k) = tau_{2k} (m-2l+2k)! / (m-2l)!.
-    """
-    if isinstance(m, bool) or not isinstance(m, int) or m < 0:
-        raise ValidationError("degree must be a nonnegative integer")
-    n = m // 2
-    rows = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
-    for l in range(n + 1):
-        r = n - l
-        for k in range(l + 1):
-            rows[r][r + k] = tau(2 * k) * Fraction(
-                factorial(m - 2 * l + 2 * k), factorial(m - 2 * l)
-            )
-    return CoeffTable.of(rows)
-
-
 @dataclass(frozen=True)
 class ReconstructionBasis:
     """Cardinal bases of the interpolating and reconstructing polynomials.
@@ -206,9 +141,9 @@ def basis(s: Stencil) -> ReconstructionBasis:
     """The alpha_f / alpha_h basis polynomials of a stencil, built once.
 
     alpha_f,l collects column l of the inverse Vandermonde matrix; alpha_h,l
-    applies the deconvolution weights tau_{2k} (m+2k)!/m! down each column.
-    Construction cross-checks that every member has degree exactly M and that
-    each family sums to the constant 1.
+    is its deconvolution, `pair_h_from_f` of that column.  Construction
+    cross-checks that every member has degree exactly M and that each family
+    sums to the constant 1.
     """
     vinv = inv_vandermonde(s)
     m_total = s.m
@@ -216,14 +151,8 @@ def basis(s: Stencil) -> ReconstructionBasis:
     alpha_h = []
     for pos in range(m_total + 1):
         f_coeffs = [vinv[m, pos] for m in range(m_total + 1)]
-        h_coeffs = []
-        for m in range(m_total + 1):
-            acc = Fraction(0)
-            for k in range((m_total - m) // 2 + 1):
-                acc += tau(2 * k) * Fraction(factorial(m + 2 * k), factorial(m)) * vinv[m + 2 * k, pos]
-            h_coeffs.append(acc)
         alpha_f.append(RatPoly.of(f_coeffs))
-        alpha_h.append(RatPoly.of(h_coeffs))
+        alpha_h.append(RatPoly.of(pair_h_from_f(f_coeffs)))
 
     one = RatPoly.constant(1)
     for family in (alpha_f, alpha_h):

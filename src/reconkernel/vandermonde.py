@@ -15,7 +15,7 @@ from functools import cache
 from math import comb, factorial
 from typing import Iterable, Sequence
 
-from .exact import Rational, ValidationError, _rat
+from .exact import Rational, ValidationError, _int, _rat
 
 __all__ = [
     "CoeffTable",
@@ -42,8 +42,7 @@ class Stencil:
 
     def __post_init__(self) -> None:
         for v in (self.m_minus, self.m_plus):
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise ValidationError("stencil bounds must be integers")
+            _int(v, "stencil bounds must be integers")
         if self.m_minus + self.m_plus < 0:
             raise ValidationError("stencil width m_minus + m_plus must be nonnegative")
 
@@ -133,24 +132,33 @@ def comb0(n: int, k: int) -> int:
     return comb(n, k)
 
 
+#: Column k of the Stirling triangle as the list [0, k], [1, k], ...; a
+#: column is only ever replaced by a longer copy with the same prefix.
+_STIRLING_COLUMNS: dict[int, list[int]] = {}
+
+
 @cache
 def stirling1_unsigned(n: int, k: int) -> int:
     """Unsigned Stirling number of the first kind.
 
     Recurrence [n+1, k] = n*[n, k] + [n, k-1] with [n, 0] = delta_{n0};
     counts permutations of n elements with k cycles.  Out-of-range k gives 0.
+    Columns 0..k are filled bottom-up, so a cold call never recurses.
     """
-    if isinstance(n, bool) or isinstance(k, bool) or not isinstance(n, int) or not isinstance(k, int):
-        raise ValidationError("Stirling indices must be integers")
-    if n < 0 or k < 0:
-        raise ValidationError("Stirling indices must be nonnegative")
+    _int(n, "Stirling indices must be nonnegative integers", lo=0)
+    _int(k, "Stirling indices must be nonnegative integers", lo=0)
     if k > n:
         return 0
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k == 0:
-        return 0
-    return (n - 1) * stirling1_unsigned(n - 1, k) + stirling1_unsigned(n - 1, k - 1)
+    left = None
+    for i in range(k + 1):
+        col = _STIRLING_COLUMNS.get(i, [1 if i == 0 else 0])
+        if len(col) <= n:
+            col = list(col)
+            for j in range(len(col), n + 1):
+                col.append((j - 1) * col[j - 1] + (left[j - 1] if i else 0))
+            _STIRLING_COLUMNS[i] = col
+        left = col
+    return left[n]
 
 
 @cache
@@ -168,8 +176,7 @@ def inv_vandermonde_left_aligned(m: int) -> CoeffTable:
         (-1)^(i+j) * sum_{k=0}^{m} C(k, j) * [k, i] / k!
     with [k, i] the unsigned Stirling numbers.
     """
-    if isinstance(m, bool) or not isinstance(m, int) or m < 0:
-        raise ValidationError("window size must be a nonnegative integer")
+    _int(m, "window size must be a nonnegative integer", lo=0)
     rows = []
     for i in range(m + 1):
         row = []
@@ -222,10 +229,8 @@ def nu(s: Stencil, m: int, k: int) -> Fraction:
     for k > M the values are the generators of the truncation-error
     expansions.
     """
-    if not 0 <= m <= s.m:
-        raise ValidationError(f"row index {m} outside 0..{s.m}")
-    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
-        raise ValidationError("power must be a nonnegative integer")
+    _int(m, f"row index {m} outside 0..{s.m}", lo=0, hi=s.m)
+    _int(k, "power must be a nonnegative integer", lo=0)
     vinv = inv_vandermonde(s)
     return sum(
         (vinv[m, pos] * Fraction(ell**k) for pos, ell in enumerate(s.offsets())),

@@ -22,20 +22,20 @@ from functools import cache
 from math import factorial
 from typing import Union
 
-from .deconv import tau
 from .exact import (
     InvariantError,
     RatFunction,
     RatPoly,
     Rational,
     ValidationError,
+    _int,
     _rat,
     cauchy_root_bound,
     poly_definite_integral,
     poly_eval,
     sturm_real_root_count,
 )
-from .recon import basis, face_coeffs
+from .recon import basis, face_coeffs, pair_h_from_f
 from .vandermonde import CoeffTable, Stencil, nu
 
 __all__ = [
@@ -63,8 +63,7 @@ DEFAULT_MARGIN = 5
 
 
 def _require_expansion_order(s: Stencil, order: int) -> None:
-    if isinstance(order, bool) or not isinstance(order, int):
-        raise ValidationError("expansion order must be an integer")
+    _int(order, "expansion order must be an integer")
     if order <= s.m:
         raise ValidationError(
             f"error terms of stencil {s} vanish identically below order {s.m + 1}"
@@ -83,20 +82,9 @@ def _mu_f_any(s: Stencil, order: int) -> RatPoly:
 
 
 def _mu_h_any(s: Stencil, order: int) -> RatPoly:
-    m_total = s.m
-    coeffs = [Fraction(0)] * (max(order, m_total) + 1)
-    for k in range(order // 2 + 1):
-        coeffs[order - 2 * k] -= tau(2 * k) / factorial(order - 2 * k)
-    for m in range(m_total + 1):
-        acc = Fraction(0)
-        for k in range((m_total - m) // 2 + 1):
-            acc += (
-                tau(2 * k)
-                * nu(s, m + 2 * k, order)
-                * Fraction(factorial(m + 2 * k), factorial(order) * factorial(m))
-            )
-        coeffs[m] += acc
-    return RatPoly.of(coeffs)
+    # the reconstruction error is the deconvolution of the interpolation
+    # error; trailing zeros of the latter add nothing to the triangular map
+    return RatPoly.of(pair_h_from_f(_mu_f_any(s, order).coeffs))
 
 
 @cache
@@ -115,8 +103,9 @@ def mu_f(s: Stencil, order: int) -> RatPoly:
 def mu_h(s: Stencil, order: int) -> RatPoly:
     """Pivot-derivative error polynomial of the reconstruction.
 
-    Combines the tau tail of the shifted deconvolution jet with the nu
-    corrections of the stencil; degree exactly `order`.
+    The deconvolution (`pair_h_from_f`) of mu_f(s, order): the tau tail of
+    the shifted deconvolution jet plus the nu corrections of the stencil;
+    degree exactly `order`.
     """
     _require_expansion_order(s, order)
     return _mu_h_any(s, order)
@@ -221,14 +210,13 @@ def error_expansion(s: Stencil, kind: str, n_max: "int | None" = None) -> ErrorE
 
 def substencil(s: Stencil, levels: int, k: int) -> Stencil:
     """Substencil k of the K-fold subdivision; k = 0 is the leftmost."""
-    if not 0 <= k <= levels:
-        raise ValidationError(f"substencil index {k} outside 0..{levels}")
+    _int(levels, "subdivision level must be an integer")
+    _int(k, f"substencil index {k} outside 0..{levels}", lo=0, hi=levels)
     return Stencil(s.m_minus - k, s.m_plus - levels + k)
 
 
 def _check_subdivision(s: Stencil, levels: int) -> None:
-    if isinstance(levels, bool) or not isinstance(levels, int):
-        raise ValidationError("subdivision level must be an integer")
+    _int(levels, "subdivision level must be an integer")
     if s.m < 2:
         raise ValidationError("subdivision needs a stencil of at least three cells")
     if not 1 <= levels <= s.m - 1:
@@ -410,8 +398,7 @@ def positivity_scan(max_extent: int) -> tuple[PositivityRow, ...]:
     reported without any claim.  Extents above 9 are not covered by the
     positivity result and are rejected.
     """
-    if isinstance(max_extent, bool) or not isinstance(max_extent, int) or not 0 <= max_extent <= 9:
-        raise ValidationError("positivity scans cover extents 0..9 only")
+    _int(max_extent, "positivity scans cover extents 0..9 only", lo=0, hi=9)
     rows = []
     for mm in range(-max_extent, max_extent + 1):
         for mp in range(-max_extent, max_extent + 1):

@@ -1,0 +1,196 @@
+"""Independent derivation routes, used only as test oracles.
+
+Each oracle reaches a quantity the package computes by a route that shares
+none of its code: the tau numbers by exact power-series division of
+sinh(x/2)/(x/2), and the deconvolution map as an upper unitriangular matrix
+whose back-substitution inverse is checked against its closed form.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from math import factorial
+from typing import Iterable
+
+from reconkernel.deconv import _index, tau
+from reconkernel.exact import Rational, ValidationError, _rat
+from reconkernel.vandermonde import CoeffTable, comb0
+
+
+# ---------------------------------------------------------------------------
+# truncated power series
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PowerSeries:
+    """Taylor jet: coefficients of x^0 .. x^order, trailing zeros kept.
+
+    The truncation order is part of the value; sums and products truncate to
+    the shorter operand, so arithmetic never silently extends a result past
+    coefficients that are actually known.
+    """
+
+    coeffs: tuple[Fraction, ...]
+
+    def __post_init__(self) -> None:
+        if not self.coeffs:
+            raise ValidationError("a power series stores at least its constant term")
+        object.__setattr__(self, "coeffs", tuple(_rat(c) for c in self.coeffs))
+
+    @classmethod
+    def of(cls, coeffs: Iterable[Rational], order: "int | None" = None) -> "PowerSeries":
+        cs = [_rat(c) for c in coeffs]
+        if order is not None:
+            if order < 0:
+                raise ValidationError("truncation order must be nonnegative")
+            cs = cs[: order + 1]
+            cs += [Fraction(0)] * (order + 1 - len(cs))
+        return cls(tuple(cs))
+
+    @property
+    def order(self) -> int:
+        return len(self.coeffs) - 1
+
+    def coeff(self, k: int) -> Fraction:
+        if not 0 <= k <= self.order:
+            raise ValidationError(f"coefficient {k} is beyond the truncation order {self.order}")
+        return self.coeffs[k]
+
+    def __add__(self, other: "PowerSeries") -> "PowerSeries":
+        if not isinstance(other, PowerSeries):
+            return NotImplemented
+        n = min(self.order, other.order)
+        return PowerSeries(tuple(self.coeffs[k] + other.coeffs[k] for k in range(n + 1)))
+
+    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
+        if not isinstance(other, PowerSeries):
+            return NotImplemented
+        n = min(self.order, other.order)
+        out = [Fraction(0)] * (n + 1)
+        for i, a in enumerate(self.coeffs[: n + 1]):
+            if a == 0:
+                continue
+            for j in range(n + 1 - i):
+                out[i + j] += a * other.coeffs[j]
+        return PowerSeries(tuple(out))
+
+
+def series_divide(a: PowerSeries, b: PowerSeries, order: int) -> PowerSeries:
+    """Quotient jet of a/b through the stated order, exact.
+
+    Operands are read as polynomials: coefficients above an operand's stored
+    order are exact zeros.  When an operand is itself a truncation of a longer
+    series, supply it zero-padded to the working order.
+    """
+    if order < 0:
+        raise ValidationError("truncation order must be nonnegative")
+    if b.coeffs[0] == 0:
+        raise ValidationError("division by a power series with zero constant term")
+
+    def at(series: PowerSeries, k: int) -> Fraction:
+        return series.coeffs[k] if k <= series.order else Fraction(0)
+
+    inv0 = b.coeffs[0]
+    q: list[Fraction] = []
+    for n in range(order + 1):
+        acc = at(a, n)
+        for k in range(1, n + 1):
+            bk = at(b, k)
+            if bk:
+                acc -= bk * q[n - k]
+        q.append(acc / inv0)
+    return PowerSeries(tuple(q))
+
+
+# ---------------------------------------------------------------------------
+# tau by generating-function division
+# ---------------------------------------------------------------------------
+
+
+def tau_gf_oracle(n: int) -> Fraction:
+    """n-th Taylor coefficient of (x/2)/sinh(x/2), by exact series division.
+
+    Independent derivation path for `tau`: expand sinh(x/2)/(x/2) directly
+    and divide 1 by it.  The jet is carried two orders past n to guard the
+    last coefficient.
+    """
+    _index(n)
+    order = n + 2
+    cs = []
+    for k in range(order + 1):
+        if k % 2:
+            cs.append(Fraction(0))
+        else:
+            m = k // 2
+            cs.append(Fraction(1, 4**m * factorial(2 * m + 1)))
+    one = PowerSeries.of([1], order=order)
+    return series_divide(one, PowerSeries(tuple(cs)), order).coeff(n)
+
+
+# ---------------------------------------------------------------------------
+# deconvolution map in matrix form
+# ---------------------------------------------------------------------------
+
+
+def unitriangular_inverse(u: CoeffTable) -> CoeffTable:
+    """Exact inverse of an upper unitriangular matrix.
+
+    Uses the backward recurrence inv[r][r+s] = -sum_{l=1}^{s} u[r][r+l] *
+    inv[r+l][r+s]; the inverse is again upper unitriangular.
+    """
+    n = u.rows
+    if u.cols != n:
+        raise ValidationError("matrix must be square")
+    for i in range(n):
+        if u[i, i] != 1:
+            raise ValidationError("matrix must have a unit diagonal")
+        for j in range(i):
+            if u[i, j] != 0:
+                raise ValidationError("matrix must be upper triangular")
+    inv = [[Fraction(0)] * n for _ in range(n)]
+    for r in range(n - 1, -1, -1):
+        inv[r][r] = Fraction(1)
+        for sdx in range(1, n - r):
+            inv[r][r + sdx] = -sum(
+                (u[r, r + l] * inv[r + l][r + sdx] for l in range(1, sdx + 1)), Fraction(0)
+            )
+    return CoeffTable.of(inv)
+
+
+def deconv_matrix(m: int) -> CoeffTable:
+    """Unitriangular matrix of the parity-respecting deconvolution map.
+
+    For a degree-m polynomial, the coefficients of indices m, m-2, m-4, ...
+    form a chain; with N = floor(m/2), row r of this (N+1)x(N+1) matrix maps
+    the h-chain to the f-chain: entry (N-l, N-l+k) = C(m-2l+2k, 2k) /
+    ((2k+1) 2^(2k)).
+    """
+    if isinstance(m, bool) or not isinstance(m, int) or m < 0:
+        raise ValidationError("degree must be a nonnegative integer")
+    n = m // 2
+    rows = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
+    for l in range(n + 1):
+        r = n - l
+        for k in range(l + 1):
+            rows[r][r + k] = Fraction(comb0(m - 2 * l + 2 * k, 2 * k), (2 * k + 1) * 4**k)
+    return CoeffTable.of(rows)
+
+
+def deconv_matrix_inverse(m: int) -> CoeffTable:
+    """Closed form for the inverse of `deconv_matrix`.
+
+    Entry (N-l, N-l+k) = tau_{2k} (m-2l+2k)! / (m-2l)!.
+    """
+    if isinstance(m, bool) or not isinstance(m, int) or m < 0:
+        raise ValidationError("degree must be a nonnegative integer")
+    n = m // 2
+    rows = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
+    for l in range(n + 1):
+        r = n - l
+        for k in range(l + 1):
+            rows[r][r + k] = tau(2 * k) * Fraction(
+                factorial(m - 2 * l + 2 * k), factorial(m - 2 * l)
+            )
+    return CoeffTable.of(rows)

@@ -15,7 +15,6 @@ from reconkernel.deconv import (
     double_forward_coeff,
     double_inverse_coeff,
     tau,
-    tau_gf_oracle,
 )
 from reconkernel.exact import (
     RatFunction,
@@ -34,6 +33,7 @@ from reconkernel.weno import (
     sigma_values_at_half,
     sigma_weights,
 )
+from oracles import tau_gf_oracle
 
 TAU_TABLE = {
     0: F(1),

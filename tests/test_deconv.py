@@ -1,9 +1,15 @@
 """Deconvolution coefficients and their generating-function oracle."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from math import factorial
+from pathlib import Path
 
 import pytest
 
+import reconkernel
 from reconkernel.deconv import (
     deconv_forward_coeff,
     deconv_inverse_coeff,
@@ -11,9 +17,9 @@ from reconkernel.deconv import (
     double_inverse_coeff,
     shifted_taylor_poly,
     tau,
-    tau_gf_oracle,
 )
 from reconkernel.exact import RatPoly, ValidationError
+from oracles import tau_gf_oracle
 
 # frozen even-index values through index 20
 TAU_TABLE = {
@@ -54,6 +60,27 @@ class TestTau:
     def test_rejects_bad_index(self, bad):
         with pytest.raises(ValidationError):
             tau(bad)
+
+    def test_cold_calls_fill_memos_without_deep_recursion(self):
+        # tau and the Stirling columns are filled bottom-up, so a fresh
+        # process answers deep indices under a tiny recursion limit
+        script = (
+            "import sys\n"
+            "from reconkernel.deconv import tau\n"
+            "from reconkernel.vandermonde import stirling1_unsigned\n"
+            "sys.setrecursionlimit(150)\n"
+            "print(tau(300), stirling1_unsigned(300, 1))\n"
+        )
+        src = str(Path(reconkernel.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [str(tau(300)), str(factorial(299))]
 
 
 class TestForwardInverse:

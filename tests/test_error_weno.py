@@ -284,6 +284,11 @@ class TestSubstencilWeights:
         with pytest.raises(ValidationError):
             substencil(Stencil(2, 2), 2, -1)
 
+    @pytest.mark.parametrize("k", [True, F(1), 1.0], ids=repr)
+    def test_substencil_rejects_non_integer_index(self, k):
+        with pytest.raises(ValidationError):
+            substencil(Stencil(2, 2), 1, k)
+
     def test_subdivision_validation(self):
         with pytest.raises(ValidationError):
             sigma_weights(Stencil(1, 0), 1)

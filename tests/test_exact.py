@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from reconkernel.exact import (
     InvariantError,
-    PowerSeries,
     RatFunction,
     RatPoly,
     ValidationError,
@@ -17,10 +16,10 @@ from reconkernel.exact import (
     poly_eval,
     poly_gcd,
     poly_sliding_average,
-    series_divide,
     square_free_part,
     sturm_real_root_count,
 )
+from oracles import PowerSeries, series_divide
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 small_polys = st.lists(rationals, max_size=7).map(RatPoly.of)
@@ -35,6 +34,16 @@ class TestRatPoly:
     def test_rejects_floats(self):
         with pytest.raises(ValidationError):
             RatPoly.of([0.5])
+
+    @pytest.mark.parametrize("degree", [2.5, True, -1], ids=repr)
+    def test_monomial_rejects_bad_degree(self, degree):
+        with pytest.raises(ValidationError):
+            RatPoly.monomial(degree)
+
+    @pytest.mark.parametrize("n", [True, 1.5, -1], ids=repr)
+    def test_power_rejects_bad_exponent(self, n):
+        with pytest.raises(ValidationError):
+            RatPoly.of([1, 1]) ** n
 
     def test_eval_horner(self):
         p = RatPoly.of([1, -3, 2])

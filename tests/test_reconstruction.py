@@ -17,15 +17,13 @@ from reconkernel.exact import (
 from reconkernel.recon import (
     PairCoeffs,
     basis,
-    deconv_matrix,
-    deconv_matrix_inverse,
     face_coeffs,
     face_coeffs_shu_oracle,
     pair_f_from_h,
     pair_h_from_f,
-    unitriangular_inverse,
 )
 from reconkernel.vandermonde import CoeffTable, Stencil
+from oracles import deconv_matrix, deconv_matrix_inverse, unitriangular_inverse
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 coeff_lists = st.lists(rationals, min_size=1, max_size=13)

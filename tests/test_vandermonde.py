@@ -1,5 +1,6 @@
 """Stencil node-power matrices, their exact inverses, and the nu coefficients."""
 
+import inspect
 from fractions import Fraction as F
 
 import pytest
@@ -125,6 +126,13 @@ class TestHelpers:
         with pytest.raises(ValidationError):
             stirling1_unsigned(-1, 0)
 
+    def test_submodule_is_not_shadowed_by_its_function(self):
+        import reconkernel.vandermonde as by_path
+        from reconkernel import vandermonde as by_name
+
+        assert inspect.ismodule(by_path)
+        assert inspect.ismodule(by_name)
+
 
 class TestVandermondeMatrices:
     def test_matrix_entries(self):
@@ -172,3 +180,8 @@ class TestNu:
             nu(Stencil(1, 1), -1, 0)
         with pytest.raises(ValidationError):
             nu(Stencil(1, 1), 0, -1)
+
+    @pytest.mark.parametrize("bad", [F(3, 2), 1.5, True], ids=repr)
+    def test_rejects_non_integer_row_index(self, bad):
+        with pytest.raises(ValidationError):
+            nu(Stencil(1, 1), bad, 3)
