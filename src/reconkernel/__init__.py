@@ -48,7 +48,6 @@ from .recon import (
     ReconstructionBasis,
     basis,
     face_coeffs,
-    face_coeffs_shu_oracle,
     pair_f_from_h,
     pair_h_from_f,
 )
@@ -115,7 +114,6 @@ __all__ = [
     "exp_cell_average",
     "exp_pair_reference",
     "face_coeffs",
-    "face_coeffs_shu_oracle",
     "g_tau_float",
     "halving_slope",
     "inv_vandermonde",

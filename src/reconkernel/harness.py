@@ -16,7 +16,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, fsum, isfinite, log, sinh
+from math import exp, fsum, isfinite, ldexp, log, sinh
 
 from .deconv import tau
 from .exact import ValidationError, _int, poly_eval
@@ -46,6 +46,9 @@ _UNIT_ROUNDOFF = sys.float_info.epsilon / 2
 #: Errors smaller than this multiple of the unit roundoff times the reference
 #: magnitude are treated as roundoff and excluded from order fits.
 ROUNDOFF_FLOOR_FACTOR = 1.0e3
+
+#: Largest argument whose exponential is a finite binary64 number.
+_LOG_FLOAT_MAX = log(sys.float_info.max)
 
 
 def g_tau_float(x: float) -> float:
@@ -227,6 +230,13 @@ def convergence_study(
     return ConvergenceReport(s, target, tuple(grid_sizes), tuple(errors), slope, tuple(window))
 
 
+def _require_sample_width(s: Stencil, delta_x: float) -> None:
+    if not (isfinite(delta_x) and delta_x > 0):
+        raise ValidationError("delta_x must be positive and finite")
+    if max(s.m_plus, 0.5) * delta_x > _LOG_FLOAT_MAX:
+        raise ValidationError(f"delta_x {delta_x!r} overflows the exp samples of stencil {s}")
+
+
 def non_interpolation_check(s: Stencil, delta_x: float) -> float:
     """Largest nodal gap between the reconstruction and the true point values.
 
@@ -234,9 +244,10 @@ def non_interpolation_check(s: Stencil, delta_x: float) -> float:
     polynomial at those same nodes, and compares against the exact point
     field g_tau(dx) e^x.  The reconstruction matches the averages, not the
     point values, so the gap is strictly positive and of order dx^{M+1}.
+    Widths at which a sample e^{l dx} or the sinh(dx/2) of g_tau would
+    overflow are rejected.
     """
-    if not (isfinite(delta_x) and delta_x > 0):
-        raise ValidationError("delta_x must be positive and finite")
+    _require_sample_width(s, delta_x)
     alpha_h = basis(s).alpha_h
     offsets = list(s.offsets())
     samples = [exp(l * delta_x) for l in offsets]
@@ -250,9 +261,17 @@ def non_interpolation_check(s: Stencil, delta_x: float) -> float:
 
 
 def halving_slope(s: Stencil, delta_x: float, halvings: int = 2) -> float:
-    """Log-log slope of the nodal mismatch under successive width halvings."""
+    """Log-log slope of the nodal mismatch under successive width halvings.
+
+    The smallest width, delta_x / 2^halvings, must stay a normal float.
+    """
     _int(halvings, "at least one halving required", lo=1)
-    widths = [delta_x / 2**j for j in range(halvings + 1)]
+    _require_sample_width(s, delta_x)
+    if ldexp(delta_x, -halvings) < sys.float_info.min:
+        raise ValidationError(
+            f"{halvings} halvings of delta_x {delta_x!r} leave the normal float range"
+        )
+    widths = [ldexp(delta_x, -j) for j in range(halvings + 1)]
     gaps = [non_interpolation_check(s, w) for w in widths]
     if any(g <= 0.0 for g in gaps):
         raise ValidationError("mismatch vanished; slope undefined")

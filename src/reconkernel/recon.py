@@ -9,7 +9,8 @@ On a stencil, interpolating the cell averages f_{i+l} and deconvolving yields
 the reconstructing polynomial.  Both polynomials are expressed in a cardinal
 basis: p_f = sum alpha_f,l(xi) f_{i+l} interpolates, p_h = sum alpha_h,l(xi)
 f_{i+l} reconstructs, with xi the offset from the pivot in cell widths.
-Evaluating alpha_h at xi = 1/2 gives the face-value coefficients.
+The face-value coefficients, alpha_h at xi = 1/2, have an integer product
+form of their own and are computed without the basis.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import comb, factorial
 from typing import Sequence, Union
 
 from .deconv import tau
@@ -27,7 +28,6 @@ from .exact import (
     Rational,
     ValidationError,
     _rat,
-    poly_eval,
 )
 from .vandermonde import Stencil, comb0, inv_vandermonde
 
@@ -36,7 +36,6 @@ __all__ = [
     "ReconstructionBasis",
     "basis",
     "face_coeffs",
-    "face_coeffs_shu_oracle",
     "pair_f_from_h",
     "pair_h_from_f",
 ]
@@ -166,42 +165,44 @@ def basis(s: Stencil) -> ReconstructionBasis:
     return ReconstructionBasis(s, tuple(alpha_f), tuple(alpha_h))
 
 
+def _product_folds(factors) -> list[tuple[int, int]]:
+    # entry i: the product of the first i factors, and the sum of the i
+    # products of those factors that leave one of them out
+    out = [(1, 0)]
+    for g in factors:
+        prod, rest = out[-1]
+        out.append((prod * g, rest * g + prod))
+    return out
+
+
 @cache
 def face_coeffs(s: Stencil) -> tuple[Fraction, ...]:
     """Reconstruction coefficients at the right cell face, xi = 1/2.
 
     The dot product of these with the cell averages f_{i+l} approximates
-    h_{i+1/2} to order M+1; they always sum to 1.
+    h_{i+1/2} to order M+1.  No basis polynomial is built: the face value is
+    the derivative at xi = 1/2 of the polynomial interpolating the primitive
+    of the averages on its M+2 nodes x_q = q - m_minus - 1/2, whose gaps to
+    the face are the integers g_q = 1 + m_minus - q.  Node m weighs
+    sum_{p != m} prod_{q not in {m, p}} g_q over prod_{q != m} (m - q), and
+    coefficient l is the sum of the weights of the nodes right of cell l.
+    Prefix and suffix folds give every weight in O(M) integer products over
+    the common denominator (M+1)!.  Raises InvariantError unless the
+    coefficients sum to 1.
     """
-    half = Fraction(1, 2)
-    return tuple(poly_eval(p, half) for p in basis(s).alpha_h)
-
-
-def face_coeffs_shu_oracle(s: Stencil) -> tuple[Fraction, ...]:
-    """Face coefficients by the classical product/sum formula.
-
-    Independent derivation path: no Vandermonde inversion and no tau numbers,
-    only integer products over the primitive-function interpolation nodes.
-    """
-    m_total, mm = s.m, s.m_minus
-    out = []
-    for ell in s.offsets():
-        total = Fraction(0)
-        for m in range(ell + mm + 1, m_total + 2):
-            num = 0
-            for p in range(m_total + 2):
-                if p == m:
-                    continue
-                prod = 1
-                for q in range(m_total + 2):
-                    if q == m or q == p:
-                        continue
-                    prod *= mm - q + 1
-                num += prod
-            den = 1
-            for p in range(m_total + 2):
-                if p != m:
-                    den *= m - p
-            total += Fraction(num, den)
-        out.append(total)
-    return tuple(out)
+    n = s.m + 2
+    gaps = [1 + s.m_minus - q for q in range(n)]
+    # g_q over q < i in pre[i] and over q >= i in suf[i]
+    pre = _product_folds(gaps)
+    suf = _product_folds(reversed(gaps))[::-1]
+    nums = []
+    acc = 0
+    for m in range(n - 1, 0, -1):
+        (pl, rl), (pr, rr) = pre[m], suf[m + 1]
+        acc += (-1) ** (n - 1 - m) * comb(n - 1, m) * (rl * pr + pl * rr)
+        nums.append(acc)
+    nums.reverse()
+    den = factorial(n - 1)
+    if sum(nums) != den:
+        raise InvariantError(f"face coefficients of stencil {s} do not sum to 1")
+    return tuple(Fraction(a, den) for a in nums)

@@ -2,8 +2,10 @@
 
 Each oracle reaches a quantity the package computes by a route that shares
 none of its code: the tau numbers by exact power-series division of
-sinh(x/2)/(x/2), and the deconvolution map as an upper unitriangular matrix
-whose back-substitution inverse is checked against its closed form.
+sinh(x/2)/(x/2), the deconvolution map as an upper unitriangular matrix
+whose back-substitution inverse is checked against its closed form, and the
+face coefficients by the classical product/sum formula in O(M^4) integer
+products.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Iterable
 
 from reconkernel.deconv import _index, tau
 from reconkernel.exact import Rational, ValidationError, _rat
-from reconkernel.vandermonde import CoeffTable, comb0
+from reconkernel.vandermonde import CoeffTable, Stencil, comb0
 
 
 # ---------------------------------------------------------------------------
@@ -194,3 +196,38 @@ def deconv_matrix_inverse(m: int) -> CoeffTable:
                 factorial(m - 2 * l + 2 * k), factorial(m - 2 * l)
             )
     return CoeffTable.of(rows)
+
+
+# ---------------------------------------------------------------------------
+# face coefficients
+# ---------------------------------------------------------------------------
+
+
+def face_coeffs_shu_oracle(s: Stencil) -> tuple[Fraction, ...]:
+    """Face coefficients by the classical product/sum formula.
+
+    Independent derivation path: no Vandermonde inversion and no tau numbers,
+    only integer products over the primitive-function interpolation nodes.
+    """
+    m_total, mm = s.m, s.m_minus
+    out = []
+    for ell in s.offsets():
+        total = Fraction(0)
+        for m in range(ell + mm + 1, m_total + 2):
+            num = 0
+            for p in range(m_total + 2):
+                if p == m:
+                    continue
+                prod = 1
+                for q in range(m_total + 2):
+                    if q == m or q == p:
+                        continue
+                    prod *= mm - q + 1
+                num += prod
+            den = 1
+            for p in range(m_total + 2):
+                if p != m:
+                    den *= m - p
+            total += Fraction(num, den)
+        out.append(total)
+    return tuple(out)

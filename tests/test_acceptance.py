@@ -24,7 +24,7 @@ from reconkernel.exact import (
     sturm_real_root_count,
 )
 from reconkernel.harness import convergence_study, halving_slope, non_interpolation_check
-from reconkernel.recon import basis, face_coeffs, face_coeffs_shu_oracle
+from reconkernel.recon import basis, face_coeffs
 from reconkernel.vandermonde import CoeffTable, Stencil, inv_vandermonde, nu, vandermonde
 from reconkernel.weno import (
     Lambda,
@@ -33,7 +33,7 @@ from reconkernel.weno import (
     sigma_values_at_half,
     sigma_weights,
 )
-from oracles import tau_gf_oracle
+from oracles import face_coeffs_shu_oracle, tau_gf_oracle
 
 TAU_TABLE = {
     0: F(1),

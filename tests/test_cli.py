@@ -3,7 +3,6 @@
 import csv
 import io
 import json
-from fractions import Fraction as F
 
 import pytest
 
@@ -170,6 +169,8 @@ class TestExitCodes:
             ["converge", "--stencil", "4", "4"],
             ["converge", "--stencil", "1", "1", "--levels", "2"],
             ["tau", "--order", "-1"],
+            ["check-noninterp", "--stencil", "1", "1", "--halvings", "1100"],
+            ["check-noninterp", "--stencil", "1", "1", "--dx", "1e300"],
         ],
         ids=lambda a: " ".join(a),
     )
@@ -185,8 +186,29 @@ class TestExitCodes:
         assert exc.value.code == 2
 
     def test_runtime_guard_failure_exits_three(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "face_coeffs_shu_oracle", lambda s: (F(1),))
+        right = cli.face_coeffs(cli.Stencil(1, 1))
+        wrong = (right[0] + 1,) + right[1:]
+        monkeypatch.setattr(cli, "face_coeffs", lambda s: wrong)
         code, out, err = run(["face-coeffs", "--stencil", "1", "1"], capsys)
         assert code == 3
         assert out == ""
         assert err.startswith("invariant violated: ")
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            # moving weight between two cells keeps the sum at 1 but breaks
+            # exactness on x, so the degree-1 equation must catch it
+            (lambda c: (c[0] + 1, c[1] - 1) + c[2:],
+             "face coefficients of (2,2) do not reproduce the face value of x^1"),
+            (lambda c: c[:-1], "stencil (2,2) has 5 cells but 4 face coefficients"),
+        ],
+        ids=["sum-preserving", "short"],
+    )
+    def test_face_certificate_checks_more_than_the_sum(self, tamper, message, capsys, monkeypatch):
+        wrong = tamper(cli.face_coeffs(cli.Stencil(2, 2)))
+        monkeypatch.setattr(cli, "face_coeffs", lambda s: wrong)
+        code, out, err = run(["face-coeffs", "--stencil", "2", "2"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == f"invariant violated: {message}\n"

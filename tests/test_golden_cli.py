@@ -1,10 +1,11 @@
 """Byte-identical CLI output against the frozen digests of the benchmark set.
 
 `perfbench/golden_cli.json` maps each request (the argv as one string) to
-the SHA-256 of "<exit code>\\n" followed by its stdout.  Every tenth request
-of each (subcommand, format) group, and the group's last one, is replayed in
-process here, so small groups such as positivity are sampled past their
-trivial first entry.  The file is only read.
+the SHA-256 of "<exit code>\\n" followed by its stdout.  Every request of
+the face-value commands (face-coeffs, basis, positivity) is replayed in
+process here.  Of every other (subcommand, format) group, every tenth
+request and the group's last one are, so small groups are sampled past
+their trivial first entry.  The file is only read.
 """
 
 import hashlib
@@ -20,6 +21,8 @@ GOLDEN = json.loads(
     (Path(__file__).resolve().parent.parent / "perfbench" / "golden_cli.json").read_text()
 )
 STRIDE = 10
+#: subcommands whose every request is replayed
+FULL = ("face-coeffs", "basis", "positivity")
 
 
 def sampled_groups() -> dict[str, list[str]]:
@@ -28,7 +31,10 @@ def sampled_groups() -> dict[str, list[str]]:
         argv = key.split()
         fmt = argv[argv.index("--format") + 1] if "--format" in argv else "json"
         groups[f"{argv[0]}-{fmt}"].append(key)
-    return {name: sorted(set(keys[::STRIDE] + keys[-1:])) for name, keys in groups.items()}
+    return {
+        name: keys if name.rsplit("-", 1)[0] in FULL else sorted(set(keys[::STRIDE] + keys[-1:]))
+        for name, keys in groups.items()
+    }
 
 
 SAMPLES = sampled_groups()

@@ -209,6 +209,25 @@ class TestNonInterpolation:
         with pytest.raises(ValidationError):
             halving_slope(Stencil(1, 1), 0.01, halvings=True)
 
+    @pytest.mark.parametrize(
+        "s, dx",
+        [(Stencil(1, 1), 1e300), (Stencil(1, 1), 710.0), (Stencil(0, 3), 237.0), (Stencil(3, -1), 1500.0)],
+        ids=str,
+    )
+    def test_widths_that_overflow_exp_are_refused(self, s, dx):
+        with pytest.raises(ValidationError, match="overflows"):
+            non_interpolation_check(s, dx)
+        with pytest.raises(ValidationError, match="overflows"):
+            halving_slope(s, dx)
+
+    def test_width_at_the_exp_limit_is_accepted(self):
+        assert math.isfinite(non_interpolation_check(Stencil(1, 1), 709.0))
+
+    @pytest.mark.parametrize("halvings", [1016, 1100, 5000])
+    def test_halvings_below_the_normal_range_are_refused(self, halvings):
+        # 0.01 / 2^1015 is the last normal width
+        with pytest.raises(ValidationError, match="normal float range"):
+            halving_slope(Stencil(1, 1), 0.01, halvings)
     def test_floor_factor_is_conservative(self):
         # the usability floor sits three decades above unit roundoff
         assert ROUNDOFF_FLOOR_FACTOR == 1.0e3

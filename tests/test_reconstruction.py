@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reconkernel import harness, recon, weno
 from reconkernel.exact import (
     RatPoly,
     ValidationError,
@@ -18,12 +19,17 @@ from reconkernel.recon import (
     PairCoeffs,
     basis,
     face_coeffs,
-    face_coeffs_shu_oracle,
     pair_f_from_h,
     pair_h_from_f,
 )
 from reconkernel.vandermonde import CoeffTable, Stencil
-from oracles import deconv_matrix, deconv_matrix_inverse, unitriangular_inverse
+from reconkernel.cli import main
+from oracles import (
+    deconv_matrix,
+    deconv_matrix_inverse,
+    face_coeffs_shu_oracle,
+    unitriangular_inverse,
+)
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 coeff_lists = st.lists(rationals, min_size=1, max_size=13)
@@ -203,3 +209,56 @@ class TestFaceCoeffs:
     @pytest.mark.parametrize("s", all_stencils(4), ids=str)
     def test_product_form_oracle_agrees(self, s):
         assert face_coeffs(s) == face_coeffs_shu_oracle(s)
+
+
+def padded_windows(m, pad=2):
+    """Every window of width m whose pivot lies at most pad cells beyond an end."""
+    return [Stencil(mm, m - mm) for mm in range(-pad, m + pad + 1)]
+
+
+def far_windows(m, gaps):
+    """One-sided windows of width m that start gap cells right or left of the pivot."""
+    return [w for g in gaps for w in (Stencil(-g, m + g), Stencil(m + g, -g))]
+
+
+class TestFaceRoutesAgree:
+    """The integer product route against the basis polynomials and the O(M^4) oracle."""
+
+    @staticmethod
+    def assert_routes_agree(windows):
+        half = F(1, 2)
+        for s in windows:
+            fc = face_coeffs(s)
+            assert fc == tuple(poly_eval(p, half) for p in basis(s).alpha_h), s
+            assert fc == face_coeffs_shu_oracle(s), s
+
+    @pytest.mark.parametrize("m", range(13))
+    def test_every_padded_window(self, m):
+        self.assert_routes_agree(padded_windows(m))
+
+    @pytest.mark.parametrize("m", (0, 1, 2, 3, 5, 8, 12))
+    def test_one_sided_windows_far_off_the_pivot(self, m):
+        self.assert_routes_agree(far_windows(m, (3, 10, 25, 60)))
+
+    @pytest.mark.parametrize("m", (14, 17, 20))
+    def test_thinned_wide_windows(self, m):
+        self.assert_routes_agree([Stencil(m // 2, m - m // 2), Stencil(-2, m + 2), Stencil(m, 0)])
+
+    def test_face_route_builds_no_polynomial(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the face route reached the polynomial basis")
+
+        for module in (recon, weno, harness):
+            monkeypatch.setattr(module, "basis", forbidden)
+        monkeypatch.setattr(recon, "inv_vandermonde", forbidden)
+        monkeypatch.setattr(recon, "tau", forbidden)
+        for memoized in (face_coeffs, weno._sigma_half, weno.sigma_values_at_half):
+            memoized.cache_clear()
+        assert weno.positivity_scan(4)
+        assert sum(w for _, w in harness.derivative_coeffs(Stencil(7, 9))) == 0
+
+    def test_cli_far_one_sided_window(self, capsys):
+        assert main(["face-coeffs", "--stencil", "60", "0", "--format", "csv"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[0] == "offset,coeff"
+        assert sum(F(r.split(",")[1]) for r in rows[1:]) == 1
