@@ -21,6 +21,7 @@ from .harness import convergence_study, halving_slope, non_interpolation_check
 from .recon import basis, face_coeffs
 from .vandermonde import Stencil, inv_vandermonde, vandermonde, CoeffTable
 from .weno import (
+    DEFAULT_MARGIN,
     beta_form,
     error_expansion,
     positivity_scan,
@@ -32,10 +33,47 @@ SCHEMA = "recon-kernel/1"
 
 __all__ = ["main"]
 
+# Size limits, checked before any work; a larger request exits 2.  Each sits
+# where one cold run of the command took about 5 s on a shared 2-CPU VM with
+# Python 3.11; README lists the measured times.
+
+#: Largest stencil width M = m_minus + m_plus of each stencil command.
+MAX_WIDTH = {
+    "vandermonde": 60,
+    "basis": 60,
+    "face-coeffs": 700,
+    "error-poly": 40,
+    "lambda": 35,
+    "weights": 16,
+    "poles": 14,
+    "beta": 60,
+    "converge": 60,
+    "check-noninterp": 24,
+}
+#: Largest tau index, and largest expansion order (the default M+5 included).
+MAX_ORDER = {"tau": 600, "error-poly": 150, "lambda": 40}
+#: converge: beyond this the smallest width 2^-(3+levels) leaves the normal floats.
+MAX_GRID_LEVELS = 1019
+#: check-noninterp: each halving is one more O(M^3) nodal check.
+MAX_HALVINGS = 40
+
+
+def _at_most(args: argparse.Namespace, what: str, value: int, limit: int) -> None:
+    if value > limit:
+        raise ValidationError(f"{args.command} accepts {what} up to {limit}, got {value}")
+
 
 def _stencil(args: argparse.Namespace) -> Stencil:
     m_minus, m_plus = args.stencil
-    return Stencil(m_minus, m_plus)
+    s = Stencil(m_minus, m_plus)
+    _at_most(args, "stencil widths", s.m, MAX_WIDTH[args.command])
+    return s
+
+
+def _order(args: argparse.Namespace, s: Stencil) -> int:
+    n_max = s.m + DEFAULT_MARGIN if args.order is None else args.order
+    _at_most(args, "orders", n_max, MAX_ORDER[args.command])
+    return n_max
 
 
 def _poly_strings(p: RatPoly) -> list[str]:
@@ -60,6 +98,7 @@ def _cmd_tau(args: argparse.Namespace):
     n_max = 21 if args.order is None else args.order
     if n_max < 0:
         raise ValidationError("order must be nonnegative")
+    _at_most(args, "orders", n_max, MAX_ORDER["tau"])
     values = [str(tau(n)) for n in range(n_max + 1)]
     return {"n_max": n_max, "values": values}, ["n", "tau"], list(enumerate(values))
 
@@ -139,14 +178,14 @@ def _coeff_rows(terms: list[dict], *keys: str) -> tuple[list[str], list[list]]:
 
 def _cmd_error_poly(args: argparse.Namespace):
     s = _stencil(args)
-    exp = error_expansion(s, args.kind, args.order)
+    exp = error_expansion(s, args.kind, _order(args, s))
     terms = [{"order": n, "coeffs": _poly_strings(p)} for n, p in exp.terms]
     return {"kind": args.kind, "terms": terms}, *_coeff_rows(terms, "order")
 
 
 def _cmd_lambda(args: argparse.Namespace):
     s = _stencil(args)
-    exp = error_expansion(s, f"lambda-{args.kind}", args.order)
+    exp = error_expansion(s, f"lambda-{args.kind}", _order(args, s))
     half = Fraction(1, 2)
     terms = [
         {"order": n, "coeffs": _poly_strings(p), "face_value": str(poly_eval(p, half))}
@@ -214,6 +253,7 @@ def _cmd_beta(args: argparse.Namespace):
 
 def _cmd_converge(args: argparse.Namespace):
     s = _stencil(args)
+    _at_most(args, "grid levels", args.levels, MAX_GRID_LEVELS)
     report = convergence_study(s, args.target, args.levels, args.window)
     body = {
         "target": report.target,
@@ -228,6 +268,7 @@ def _cmd_converge(args: argparse.Namespace):
 
 def _cmd_check_noninterp(args: argparse.Namespace):
     s = _stencil(args)
+    _at_most(args, "halvings", args.halvings, MAX_HALVINGS)
     # the slope validates every width before any work
     slope = halving_slope(s, args.dx, args.halvings)
     body = {

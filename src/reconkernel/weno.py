@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import factorial, lcm, perm
+from operator import mul
 from typing import Union
 
 from .exact import (
@@ -31,7 +32,6 @@ from .exact import (
     _int,
     _rat,
     cauchy_root_bound,
-    poly_definite_integral,
     poly_eval,
     sturm_real_root_count,
 )
@@ -458,27 +458,32 @@ def beta_form(s: Stencil, face_centered: bool = False) -> SmoothnessForm:
     B[l][l'] = sum_{k=1}^{M} integral of alpha_h,l^(k) * alpha_h,l'^(k) over
     one cell.  The integration interval is the pivot cell xi in [-1/2, 1/2];
     pass face_centered=True for the variant over xi in [0, 1].
+
+    No polynomial is multiplied: B = A^T H A, where column l of A holds the
+    coefficients of alpha_h,l and H is the Gram matrix of the monomials,
+    H[a][b] = sum_{k=1}^{min(a,b)} a!/(a-k)! b!/(b-k)! (hi^e - lo^e)/e with
+    e = a + b - 2k + 1.  A and H each go over one common denominator, H A
+    and then A^T (H A) are formed in integers, and each entry becomes one
+    `Fraction` at the end.
     """
     if s.m < 1:
         raise ValidationError("smoothness forms need at least two cells")
-    lo, hi = (Fraction(0), Fraction(1)) if face_centered else (Fraction(-1, 2), Fraction(1, 2))
+    # the interval is [lo, hi] / scale with integer ends
+    lo, hi, scale = (0, 1, 1) if face_centered else (-1, 1, 2)
     alpha = basis(s).alpha_h
-    derivatives = []
-    for p in alpha:
-        ladder = []
-        q = p
-        for _ in range(s.m):
-            q = q.derivative()
-            ladder.append(q)
-        derivatives.append(ladder)
+    den_a = lcm(*(c.denominator for p in alpha for c in p.coeffs))
+    cols = [[c.numerator * (den_a // c.denominator) for c in p.coeffs] for p in alpha]
+    top = 2 * s.m - 1
+    den_h = lcm(*range(1, top + 1)) * scale**top
     n = s.m + 1
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = Fraction(0)
-            for k in range(s.m):
-                acc += poly_definite_integral(derivatives[i][k] * derivatives[j][k], lo, hi)
-            row.append(acc)
-        rows.append(row)
+    gram = [[0] * n for _ in range(n)]
+    for a in range(1, n):
+        for b in range(1, n):
+            for k in range(1, min(a, b) + 1):
+                e = a + b - 2 * k + 1
+                gram[a][b] += perm(a, k) * perm(b, k) * (hi**e - lo**e) * (den_h // (e * scale**e))
+    # column j of H A, then entry (i, j) of A^T (H A)
+    gram_a = [[sum(map(mul, row, col)) for row in gram] for col in cols]
+    den = den_a * den_a * den_h
+    rows = [[Fraction(sum(map(mul, ci, gj)), den) for gj in gram_a] for ci in cols]
     return SmoothnessForm(s, CoeffTable.of(rows), face_centered)

@@ -5,7 +5,8 @@ none of its code: the tau numbers by exact power-series division of
 sinh(x/2)/(x/2), the deconvolution map as an upper unitriangular matrix
 whose back-substitution inverse is checked against its closed form, and the
 face coefficients by the classical product/sum formula in O(M^4) integer
-products.
+products, and the smoothness forms by integrating products of the basis
+derivatives one at a time.
 """
 
 from __future__ import annotations
@@ -16,8 +17,10 @@ from math import factorial
 from typing import Iterable
 
 from reconkernel.deconv import _index, tau
-from reconkernel.exact import Rational, ValidationError, _rat
+from reconkernel.exact import Rational, ValidationError, _rat, poly_definite_integral
+from reconkernel.recon import basis
 from reconkernel.vandermonde import CoeffTable, Stencil, comb0
+from reconkernel.weno import SmoothnessForm
 
 
 # ---------------------------------------------------------------------------
@@ -231,3 +234,40 @@ def face_coeffs_shu_oracle(s: Stencil) -> tuple[Fraction, ...]:
             total += Fraction(num, den)
         out.append(total)
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# smoothness forms
+# ---------------------------------------------------------------------------
+
+
+def beta_form_product_oracle(s: Stencil, face_centered: bool = False) -> SmoothnessForm:
+    """The smoothness-indicator matrix of a stencil.
+
+    B[l][l'] = sum_{k=1}^{M} integral of alpha_h,l^(k) * alpha_h,l'^(k) over
+    one cell.  The integration interval is the pivot cell xi in [-1/2, 1/2];
+    pass face_centered=True for the variant over xi in [0, 1].
+    """
+    if s.m < 1:
+        raise ValidationError("smoothness forms need at least two cells")
+    lo, hi = (Fraction(0), Fraction(1)) if face_centered else (Fraction(-1, 2), Fraction(1, 2))
+    alpha = basis(s).alpha_h
+    derivatives = []
+    for p in alpha:
+        ladder = []
+        q = p
+        for _ in range(s.m):
+            q = q.derivative()
+            ladder.append(q)
+        derivatives.append(ladder)
+    n = s.m + 1
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = Fraction(0)
+            for k in range(s.m):
+                acc += poly_definite_integral(derivatives[i][k] * derivatives[j][k], lo, hi)
+            row.append(acc)
+        rows.append(row)
+    return SmoothnessForm(s, CoeffTable.of(rows), face_centered)

@@ -171,6 +171,23 @@ class TestExitCodes:
             ["tau", "--order", "-1"],
             ["check-noninterp", "--stencil", "1", "1", "--halvings", "1100"],
             ["check-noninterp", "--stencil", "1", "1", "--dx", "1e300"],
+            ["check-noninterp", "--stencil", "1", "1", "--dx", "1e-300", "--halvings", "40"],
+            # size limits, one past each
+            ["tau", "--order", "601"],
+            ["vandermonde", "--stencil", "30", "31"],
+            ["basis", "--stencil", "-3", "64"],
+            ["face-coeffs", "--stencil", "701", "0"],
+            ["error-poly", "--stencil", "20", "21"],
+            ["error-poly", "--stencil", "1", "1", "--order", "151"],
+            ["lambda", "--stencil", "30", "6"],
+            ["lambda", "--stencil", "1", "1", "--order", "41"],
+            ["weights", "--stencil", "9", "8", "--levels", "2"],
+            ["poles", "--stencil", "8", "7"],
+            ["beta", "--stencil", "61", "0"],
+            ["converge", "--stencil", "30", "31"],
+            ["converge", "--stencil", "1", "1", "--target", "derivative", "--levels", "1100"],
+            ["check-noninterp", "--stencil", "12", "13"],
+            ["check-noninterp", "--stencil", "1", "1", "--halvings", "41"],
         ],
         ids=lambda a: " ".join(a),
     )
@@ -179,6 +196,15 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    def test_every_stencil_command_has_a_width_limit(self):
+        stencil_commands = {name for name, _, _, options in cli._COMMANDS if cli._STENCIL in options}
+        assert stencil_commands == set(cli.MAX_WIDTH)
+
+    def test_limit_message_names_command_and_bound(self, capsys):
+        code, out, err = run(["lambda", "--stencil", "1", "1", "--order", "41"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: lambda accepts orders up to 40, got 41\n"
 
     def test_unknown_command_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -40,6 +40,7 @@ from reconkernel.weno import (
     sigma_weights,
     substencil,
 )
+from oracles import beta_form_product_oracle
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 
@@ -587,3 +588,38 @@ class TestSmoothnessForm:
                 - beta_form(s2).value(exact_cell_averages(h, s2, dx))
             )
         assert vals[0] == 32 * vals[1]
+
+
+class TestBetaRoutesAgree:
+    """The integer Gram-matrix route against the derivative-ladder oracle."""
+
+    @staticmethod
+    def assert_routes_agree(windows):
+        for s in windows:
+            for face_centered in (False, True):
+                form = beta_form(s, face_centered)
+                assert form == beta_form_product_oracle(s, face_centered), (s, face_centered)
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_every_padded_window(self, m):
+        # pad 2: centred, one-sided and pivot-excluding windows alike
+        self.assert_routes_agree([Stencil(mm, m - mm) for mm in range(-2, m + 3)])
+
+    @pytest.mark.parametrize("m", (7, 8, 9))
+    def test_thinned_wide_windows(self, m):
+        self.assert_routes_agree([Stencil(m // 2, m - m // 2), Stencil(m, 0), Stencil(-2, m + 2)])
+
+    def test_gram_route_builds_no_polynomial_product(self, monkeypatch):
+        s = Stencil(4, 5)
+        basis(s)
+
+        def forbidden(*args):
+            raise AssertionError("beta_form multiplied or differentiated a polynomial")
+
+        monkeypatch.setattr(RatPoly, "__mul__", forbidden)
+        monkeypatch.setattr(RatPoly, "__rmul__", forbidden)
+        monkeypatch.setattr(RatPoly, "derivative", forbidden)
+        for face_centered in (False, True):
+            form = beta_form(s, face_centered)
+            assert form.matrix.rows == s.m + 1
+            assert form.face_centered is face_centered
