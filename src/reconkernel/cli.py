@@ -17,7 +17,7 @@ from math import lcm
 
 from .deconv import tau
 from .exact import InvariantError, RatPoly, ValidationError, poly_eval
-from .harness import convergence_study, halving_slope, non_interpolation_check
+from .harness import MAX_GRID_LEVELS, convergence_study, halving_slope, non_interpolation_check
 from .recon import basis, face_coeffs
 from .vandermonde import Stencil, inv_vandermonde, vandermonde, CoeffTable
 from .weno import (
@@ -52,8 +52,6 @@ MAX_WIDTH = {
 }
 #: Largest tau index, and largest expansion order (the default M+5 included).
 MAX_ORDER = {"tau": 600, "error-poly": 150, "lambda": 40}
-#: converge: beyond this the smallest width 2^-(3+levels) leaves the normal floats.
-MAX_GRID_LEVELS = 1019
 #: check-noninterp: each halving is one more O(M^3) nodal check.
 MAX_HALVINGS = 40
 

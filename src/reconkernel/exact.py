@@ -438,6 +438,13 @@ class RatFunction:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other: "Union[RatFunction, Rational]") -> "RatFunction":
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        # a zero divisor becomes a zero denominator, which the constructor refuses
+        return self * RatFunction(other.den, other.num)
+
     def _coerce(self, other):
         if isinstance(other, RatFunction):
             return other
@@ -505,9 +512,9 @@ def sturm_real_root_count(
     """Exact number of distinct real roots of p in the half-open interval (a, b].
 
     Endpoints are allowed to be roots: a root at b is counted, a root at a is
-    not.  Internally such endpoint roots are divided out of the square-free
-    part before the Sturm chain is evaluated, which is the exact limit of
-    nudging the endpoint by an infinitesimal.
+    not.  The Sturm chain of the square-free part drops its zero entries, so
+    at a root c the sign variations V(c) equal those just right of c, and
+    V(a) - V(b) counts the roots in (a, b] exactly.
     """
     p = as_poly(p)
     if p.is_zero:
@@ -518,14 +525,5 @@ def sturm_real_root_count(
     if p.degree == 0:
         return 0
 
-    sf = square_free_part(p)
-    count = 0
-    if poly_eval(sf, b) == 0:
-        count += 1
-        sf = exact_div(sf, RatPoly((-b, Fraction(1))))
-    if poly_eval(sf, a) == 0:
-        sf = exact_div(sf, RatPoly((-a, Fraction(1))))
-    if sf.degree <= 0:
-        return count
-    chain = _sturm_chain(sf)
-    return count + _sign_variations(chain, a) - _sign_variations(chain, b)
+    chain = _sturm_chain(square_free_part(p))
+    return _sign_variations(chain, a) - _sign_variations(chain, b)

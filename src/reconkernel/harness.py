@@ -26,6 +26,7 @@ from .vandermonde import Stencil
 __all__ = [
     "ConvergenceReport",
     "G_TAU_SERIES_CUTOFF",
+    "MAX_GRID_LEVELS",
     "SampleSet",
     "convergence_study",
     "derivative_coeffs",
@@ -46,6 +47,10 @@ _UNIT_ROUNDOFF = sys.float_info.epsilon / 2
 #: Errors smaller than this multiple of the unit roundoff times the reference
 #: magnitude are treated as roundoff and excluded from order fits.
 ROUNDOFF_FLOOR_FACTOR = 1.0e3
+
+#: Most grid levels of a convergence study: beyond this the smallest width
+#: 2^-(3+levels) leaves the normal binary64 range, whose floor is 2^-1022.
+MAX_GRID_LEVELS = 1019
 
 #: Largest argument whose exponential is a finite binary64 number.
 _LOG_FLOAT_MAX = log(sys.float_info.max)
@@ -194,11 +199,18 @@ def convergence_study(
     samples themselves (amplified by 1/dx on the derivative target) and is
     excluded from the fit.  The order is the log-log slope over the
     fit_window smallest usable widths; fewer than three usable points leave
-    the fit degenerate, which is reported as an error.
+    the fit degenerate, which is reported as an error.  More than
+    MAX_GRID_LEVELS levels are rejected: the smallest width must stay a
+    normal float.
     """
     if target not in _TARGETS:
         raise ValidationError(f"target must be one of {_TARGETS}")
     _int(grid_levels, "at least 3 grid levels required", lo=3)
+    if grid_levels > MAX_GRID_LEVELS:
+        raise ValidationError(
+            f"{grid_levels} grid levels take the smallest width 2^-{3 + grid_levels} "
+            f"below the normal float range (at most {MAX_GRID_LEVELS} levels)"
+        )
     _int(fit_window, "fit window must span at least 3 points", lo=3)
 
     face = face_coeffs(s)

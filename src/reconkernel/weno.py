@@ -9,9 +9,11 @@ A stencil of M+1 cells splits into K+1 overlapping substencils of M-K+1
 cells each.  The rational weight-functions sigma combine the substencil
 reconstructing polynomials exactly into the big-stencil one; their values at
 xi = 1/2 are the classical linear weights of weighted essentially
-non-oscillatory schemes.  Sturm counting certifies that every weight
-denominator has only real roots, and the Jiang-Shu smoothness indicator is
-assembled as an exact quadratic form in the cell values.
+non-oscillatory schemes.  Both come from one triangular solve of that
+identity: cell l <= K is the leftmost cell of substencil l, so the first K+1
+cells fix the weights one at a time.  Sturm counting certifies that every
+weight denominator has only real roots, and the Jiang-Shu smoothness
+indicator is assembled as an exact quadratic form in the cell values.
 """
 
 from __future__ import annotations
@@ -250,38 +252,39 @@ class WeightFamily:
         return tuple(w(xi) for w in self.weights)
 
 
-@cache
-def _sigma_level1(s: Stencil) -> tuple[RatFunction, RatFunction]:
-    # one subdivision level: each weight is a ratio of an outer-node basis
-    # polynomial of the big stencil to the matching one of its substencil
-    big = basis(s)
-    left = basis(substencil(s, 1, 0))
-    right = basis(substencil(s, 1, 1))
-    return (
-        RatFunction(big.alpha_h[0], left.alpha_h[0]),
-        RatFunction(big.alpha_h[-1], right.alpha_h[-1]),
-    )
+def _solve_weights(s: Stencil, big, subs) -> tuple:
+    # big[l] = sum_k sigma_k subs[k][l - k] for every cell l, as substencil k
+    # covers cells k .. k + M - K.  Cell l <= K lies in substencils
+    # max(0, l - M + K) .. l and is the leftmost cell of substencil l, so the
+    # first K + 1 equations fix the weights one at a time.  The scalars are
+    # Fractions or RatFunctions; a RatFunction never equals 0, and the
+    # leftmost basis member it stands for has degree M.
+    width = len(subs[0])
+    sigma = []
+    for l, sub in enumerate(subs):
+        if sub[0] == 0:
+            raise InvariantError(f"leftmost coefficient of substencil {l} of {s} vanished")
+        rest = big[l]
+        for k in range(max(0, l - width + 1), l):
+            rest = rest - sigma[k] * subs[k][l - k]
+        sigma.append(rest / sub[0])
+    return tuple(sigma)
 
 
 @cache
 def _sigma_family(s: Stencil, levels: int) -> tuple[RatFunction, ...]:
-    if levels == 1:
-        return _sigma_level1(s)
-    prev = _sigma_family(s, levels - 1)
-    out = []
-    for k in range(levels + 1):
-        acc = RatFunction.constant(0)
-        for l in range(max(0, k - 1), min(levels - 1, k) + 1):
-            acc = acc + prev[l] * _sigma_level1(substencil(s, levels - 1, l))[k - l]
-        out.append(acc)
-    return tuple(out)
+    stencils = [s] + [substencil(s, levels, k) for k in range(levels + 1)]
+    big, *subs = [[RatFunction.from_poly(p) for p in basis(st).alpha_h] for st in stencils]
+    return _solve_weights(s, big, subs)
 
 
 def sigma_weights(s: Stencil, levels: int) -> WeightFamily:
     """Weight-functions sigma of the K-fold subdivision, fully reduced.
 
-    Built by the convolution recurrence: a K-fold family is the (K-1)-fold
-    family composed with one-fold splits of its substencils.  Valid for
+    Solves alpha_h,l = sum_k sigma_k * (alpha_h of substencil k at that
+    cell), one equation per cell l, over the reconstructing bases of the
+    stencil and of its K+1 substencils: the first K+1 cells fix the weights
+    one at a time, and the family is checked to sum to 1.  Valid for
     stencils with M >= 2 and 1 <= levels <= M-1.
     """
     _check_subdivision(s, levels)
@@ -292,33 +295,18 @@ def sigma_weights(s: Stencil, levels: int) -> WeightFamily:
 def sigma_values_at_half(s: Stencil, levels: int) -> tuple[Fraction, ...]:
     """The linear weights: sigma evaluated at xi = 1/2 without symbolic algebra.
 
-    Runs the same recurrence as `sigma_weights` on face values only, so wide
-    positivity scans stay cheap.  The results are cross-checked to sum to 1.
+    Runs the same solve as `sigma_weights` on the face coefficients of the
+    stencil and of its K+1 substencils, so wide positivity scans stay cheap.
+    The solve uses the first K+1 cell equations; the weights are checked to
+    sum to 1, which holds only if the residuals of the other M-K cell
+    equations sum to zero.
     """
     _check_subdivision(s, levels)
-    vals = _sigma_half(s, levels)
+    subs = [face_coeffs(substencil(s, levels, k)) for k in range(levels + 1)]
+    vals = _solve_weights(s, face_coeffs(s), subs)
     if sum(vals) != 1:
         raise InvariantError(f"face weights of {s} at {levels} levels do not sum to 1")
     return vals
-
-
-@cache
-def _sigma_half(s: Stencil, levels: int) -> tuple[Fraction, ...]:
-    if levels == 1:
-        num = face_coeffs(s)
-        den_left = face_coeffs(substencil(s, 1, 0))
-        den_right = face_coeffs(substencil(s, 1, 1))
-        if den_left[0] == 0 or den_right[-1] == 0:
-            raise InvariantError(f"face coefficient of a substencil of {s} vanished")
-        return (num[0] / den_left[0], num[-1] / den_right[-1])
-    prev = _sigma_half(s, levels - 1)
-    out = []
-    for k in range(levels + 1):
-        acc = Fraction(0)
-        for l in range(max(0, k - 1), min(levels - 1, k) + 1):
-            acc += prev[l] * _sigma_half(substencil(s, levels - 1, l), 1)[k - l]
-        out.append(acc)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

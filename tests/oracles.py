@@ -6,21 +6,30 @@ sinh(x/2)/(x/2), the deconvolution map as an upper unitriangular matrix
 whose back-substitution inverse is checked against its closed form, and the
 face coefficients by the classical product/sum formula in O(M^4) integer
 products, and the smoothness forms by integrating products of the basis
-derivatives one at a time.
+derivatives one at a time, and the weight-functions and linear weights by
+the level-by-level convolution recurrence over one-fold splits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import factorial
 from typing import Iterable
 
 from reconkernel.deconv import _index, tau
-from reconkernel.exact import Rational, ValidationError, _rat, poly_definite_integral
-from reconkernel.recon import basis
+from reconkernel.exact import (
+    InvariantError,
+    RatFunction,
+    Rational,
+    ValidationError,
+    _rat,
+    poly_definite_integral,
+)
+from reconkernel.recon import basis, face_coeffs
 from reconkernel.vandermonde import CoeffTable, Stencil, comb0
-from reconkernel.weno import SmoothnessForm
+from reconkernel.weno import SmoothnessForm, substencil
 
 
 # ---------------------------------------------------------------------------
@@ -271,3 +280,60 @@ def beta_form_product_oracle(s: Stencil, face_centered: bool = False) -> Smoothn
             row.append(acc)
         rows.append(row)
     return SmoothnessForm(s, CoeffTable.of(rows), face_centered)
+
+
+# ---------------------------------------------------------------------------
+# substencil weights by the convolution recurrence
+# ---------------------------------------------------------------------------
+
+
+@cache
+def sigma_level1_oracle(s: Stencil) -> tuple[RatFunction, RatFunction]:
+    # one subdivision level: each weight is a ratio of an outer-node basis
+    # polynomial of the big stencil to the matching one of its substencil
+    big = basis(s)
+    left = basis(substencil(s, 1, 0))
+    right = basis(substencil(s, 1, 1))
+    return (
+        RatFunction(big.alpha_h[0], left.alpha_h[0]),
+        RatFunction(big.alpha_h[-1], right.alpha_h[-1]),
+    )
+
+
+@cache
+def sigma_family_recurrence_oracle(s: Stencil, levels: int) -> tuple[RatFunction, ...]:
+    """Weight-functions of the K-fold subdivision by the convolution recurrence.
+
+    A K-fold family is the (K-1)-fold family composed with one-fold splits
+    of its substencils.
+    """
+    if levels == 1:
+        return sigma_level1_oracle(s)
+    prev = sigma_family_recurrence_oracle(s, levels - 1)
+    out = []
+    for k in range(levels + 1):
+        acc = RatFunction.constant(0)
+        for l in range(max(0, k - 1), min(levels - 1, k) + 1):
+            acc = acc + prev[l] * sigma_level1_oracle(substencil(s, levels - 1, l))[k - l]
+        out.append(acc)
+    return tuple(out)
+
+
+@cache
+def sigma_half_recurrence_oracle(s: Stencil, levels: int) -> tuple[Fraction, ...]:
+    """Linear weights by the same recurrence, run on face values only."""
+    if levels == 1:
+        num = face_coeffs(s)
+        den_left = face_coeffs(substencil(s, 1, 0))
+        den_right = face_coeffs(substencil(s, 1, 1))
+        if den_left[0] == 0 or den_right[-1] == 0:
+            raise InvariantError(f"face coefficient of a substencil of {s} vanished")
+        return (num[0] / den_left[0], num[-1] / den_right[-1])
+    prev = sigma_half_recurrence_oracle(s, levels - 1)
+    out = []
+    for k in range(levels + 1):
+        acc = Fraction(0)
+        for l in range(max(0, k - 1), min(levels - 1, k) + 1):
+            acc += prev[l] * sigma_half_recurrence_oracle(substencil(s, levels - 1, l), 1)[k - l]
+        out.append(acc)
+    return tuple(out)

@@ -40,7 +40,11 @@ from reconkernel.weno import (
     sigma_weights,
     substencil,
 )
-from oracles import beta_form_product_oracle
+from oracles import (
+    beta_form_product_oracle,
+    sigma_family_recurrence_oracle,
+    sigma_half_recurrence_oracle,
+)
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 
@@ -262,6 +266,11 @@ def sigma_half_oracle(s, levels):
     return solve_consistent_system(rows, list(face_coeffs(s)))
 
 
+def near_pivot_windows(m, pad):
+    # every window of width m whose pivot lies at most pad cells outside it
+    return [Stencil(mm, m - mm) for mm in range(-pad, m + pad + 1)]
+
+
 def subdivisions(max_extent):
     out = []
     for s in all_stencils(max_extent, min_m=2):
@@ -338,6 +347,27 @@ class TestSubstencilWeights:
                 if off in sub.offsets():
                     lhs = lhs + w * RatFunction.from_poly(basis(sub).alpha_h[off + sub.m_minus])
             assert lhs == RatFunction.from_poly(big.alpha_h[i])
+
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_families_match_the_convolution_recurrence(self, m):
+        for s in near_pivot_windows(m, 2):
+            for levels in range(1, m):
+                family = sigma_weights(s, levels).weights
+                assert family == sigma_family_recurrence_oracle(s, levels), (s, levels)
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_face_values_match_the_convolution_recurrence(self, m):
+        for s in near_pivot_windows(m, 2):
+            for levels in range(1, m):
+                values = sigma_values_at_half(s, levels)
+                assert values == sigma_half_recurrence_oracle(s, levels), (s, levels)
+
+    @pytest.mark.parametrize(
+        "s", [Stencil(-20, 26), Stencil(31, -24), Stencil(-45, 55), Stencil(60, -48)], ids=str
+    )
+    def test_far_one_sided_face_values_match_the_recurrence(self, s):
+        for levels in range(1, s.m):
+            assert sigma_values_at_half(s, levels) == sigma_half_recurrence_oracle(s, levels), levels
 
     @pytest.mark.parametrize("s,levels", subdivisions(2), ids=str)
     def test_symbolic_and_value_paths_agree(self, s, levels):

@@ -145,6 +145,21 @@ class TestRatFunction:
         assert s.den == RatPoly.of([0, 1])
         assert s - x == one_over_x
 
+    def test_division(self):
+        x = RatFunction(RatPoly.of([0, 1]))
+        x_plus_1 = RatFunction(RatPoly.of([1, 1]))
+        quotient = x / x_plus_1
+        assert quotient == RatFunction(RatPoly.of([0, 1]), RatPoly.of([1, 1]))
+        assert quotient * x_plus_1 == x
+        assert x_plus_1 / x_plus_1 == RatFunction.constant(1)
+        assert x / 2 == RatFunction(RatPoly.of([0, F(1, 2)]))
+        assert x / F(2, 3) == RatFunction(RatPoly.of([0, F(3, 2)]))
+
+    @pytest.mark.parametrize("zero", [0, F(0), RatFunction.constant(0)], ids=repr)
+    def test_division_by_zero_rejected(self, zero):
+        with pytest.raises(ValidationError):
+            RatFunction(RatPoly.of([0, 1])) / zero
+
     @given(small_polys, small_polys.filter(lambda p: not p.is_zero), rationals)
     @settings(max_examples=50)
     def test_pointwise_consistency(self, n, d, x):
@@ -248,6 +263,20 @@ class TestGcdAndSturm:
             sturm_real_root_count(RatPoly(), 0, 1)
         with pytest.raises(ValidationError):
             sturm_real_root_count(RatPoly.of([1, 1]), 1, 1)
+
+    @given(
+        st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=3), min_size=1, max_size=6),
+        st.data(),
+    )
+    @settings(max_examples=100)
+    def test_sturm_counts_repeated_roots_on_the_endpoints(self, roots, data):
+        # x^2 + 1 keeps a factor without real roots in the chain
+        p = RatPoly.of([1, 0, 1])
+        for r in roots:
+            p = p * RatPoly.of([-r, 1])
+        ends = sorted(set(roots) | {F(-5), F(5)})
+        a, b = sorted(data.draw(st.lists(st.sampled_from(ends), min_size=2, max_size=2, unique=True)))
+        assert sturm_real_root_count(p, a, b) == len({r for r in roots if a < r <= b})
 
     def test_sturm_against_factored_oracle(self):
         # (x+2)(x-1/3)(x-1)(x-5/2) with a window sweep

@@ -2,8 +2,9 @@
 
 `perfbench/golden_cli.json` maps each request (the argv as one string) to
 the SHA-256 of "<exit code>\\n" followed by its stdout.  Every request of
-the face-value commands (face-coeffs, basis, positivity) and of the
-smoothness forms (beta) is replayed in process here.  Of every other
+the face-value commands (face-coeffs, basis, positivity), of the weight
+commands (weights, poles) and of the smoothness forms (beta) is replayed in
+process here.  Of every other
 (subcommand, format) group, every tenth request and the group's last one
 are, so small groups are sampled past their trivial first entry.  The file
 is only read.
@@ -23,7 +24,7 @@ GOLDEN = json.loads(
 )
 STRIDE = 10
 #: subcommands whose every request is replayed
-FULL = ("face-coeffs", "basis", "positivity", "beta")
+FULL = ("face-coeffs", "basis", "positivity", "weights", "poles", "beta")
 
 
 def sampled_groups() -> dict[str, list[str]]:

@@ -8,6 +8,7 @@ import pytest
 from reconkernel.exact import RatPoly, ValidationError, poly_eval, poly_sliding_average
 from reconkernel.harness import (
     G_TAU_SERIES_CUTOFF,
+    MAX_GRID_LEVELS,
     ROUNDOFF_FLOOR_FACTOR,
     ConvergenceReport,
     SampleSet,
@@ -172,6 +173,17 @@ class TestConvergenceStudy:
             convergence_study(s, "face", fit_window=2)
         with pytest.raises(ValidationError):
             convergence_study(s, "face", grid_levels=True)
+
+    @pytest.mark.parametrize("target", ["face", "derivative"])
+    @pytest.mark.parametrize("levels", [MAX_GRID_LEVELS + 1, 1100, 5000])
+    def test_grid_widths_below_the_normal_floats_are_rejected(self, target, levels):
+        with pytest.raises(ValidationError, match="normal float range"):
+            convergence_study(Stencil(1, 1), target, levels)
+
+    @pytest.mark.parametrize("target", ["face", "derivative"])
+    def test_smallest_normal_width_is_accepted(self, target):
+        report = convergence_study(Stencil(1, 1), target, MAX_GRID_LEVELS)
+        assert report.grid_sizes[-1] == 2.0**-1022
 
     def test_report_validation(self):
         with pytest.raises(ValidationError):

@@ -252,7 +252,7 @@ class TestFaceRoutesAgree:
             monkeypatch.setattr(module, "basis", forbidden)
         monkeypatch.setattr(recon, "inv_vandermonde", forbidden)
         monkeypatch.setattr(recon, "tau", forbidden)
-        for memoized in (face_coeffs, weno._sigma_half, weno.sigma_values_at_half):
+        for memoized in (face_coeffs, weno.sigma_values_at_half):
             memoized.cache_clear()
         assert weno.positivity_scan(4)
         assert sum(w for _, w in harness.derivative_coeffs(Stencil(7, 9))) == 0

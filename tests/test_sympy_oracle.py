@@ -1,5 +1,6 @@
 """sympy as a third route to the face coefficients, the tau numbers, the
-inverse Vandermonde matrices and the smoothness forms.
+inverse Vandermonde matrices, the smoothness forms, the linear weights, the
+polynomial gcd and the Sturm census of the weight denominators.
 
 Runs only where sympy is installed; it is not a dependency of the package.
 """
@@ -8,12 +9,21 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
+import random
 from fractions import Fraction as F
+from functools import cache
 
 from reconkernel.deconv import tau
+from reconkernel.exact import RatPoly, poly_gcd, sturm_real_root_count
 from reconkernel.recon import face_coeffs
 from reconkernel.vandermonde import Stencil, inv_vandermonde
-from reconkernel.weno import beta_form
+from reconkernel.weno import (
+    beta_form,
+    sigma_pole_analysis,
+    sigma_values_at_half,
+    sigma_weights,
+    substencil,
+)
 
 X = sympy.Symbol("x")
 HALF = sympy.Rational(1, 2)
@@ -31,6 +41,15 @@ def cell_average_matrix(s: Stencil):
     )
 
 
+def as_rational(c: F):
+    return sympy.Rational(c.numerator, c.denominator)
+
+
+def as_sympy_poly(p: RatPoly):
+    return sympy.Poly([as_rational(c) for c in reversed(p.coeffs)], X)
+
+
+@cache
 def moment_solution(s: Stencil) -> tuple[F, ...]:
     """Face coefficients as the solution of the cell-average moment system.
 
@@ -84,3 +103,59 @@ def test_beta_form_integrates_the_derivative_products(s, face_centered):
             # integrate is many times slower on these polynomials
             primitive = sympy.integrate(sympy.expand(integrand), X)
             assert table[i, j] == as_fraction(primitive.subs(X, hi) - primitive.subs(X, lo))
+
+
+@pytest.mark.parametrize("s", [s for s in NEAR + OFF_PIVOT if s.m >= 2], ids=str)
+def test_linear_weights_solve_every_cell_equation(s):
+    # all M+1 equations sum_k sigma_k c(sub k)[l - k] = c(s)[l], one per
+    # cell l, over face coefficients from the moment system: no triangular
+    # order is used, and the solution must be unique
+    big = moment_solution(s)
+    for levels in range(1, s.m):
+        subs = [moment_solution(substencil(s, levels, k)) for k in range(levels + 1)]
+        system = sympy.Matrix(
+            [
+                [as_rational(sub[l - k]) if 0 <= l - k < len(sub) else 0 for k, sub in enumerate(subs)]
+                for l in range(s.m + 1)
+            ]
+        )
+        solution, free = system.gauss_jordan_solve(sympy.Matrix([as_rational(c) for c in big]))
+        assert free.shape[0] == 0
+        assert sigma_values_at_half(s, levels) == tuple(as_fraction(c) for c in solution), levels
+
+
+def random_poly(rng: random.Random, degree: int) -> RatPoly:
+    return RatPoly.of([F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(degree)] + [1])
+
+
+def test_poly_gcd_is_the_sympy_gcd():
+    rng = random.Random(5)
+    for _ in range(60):
+        common = random_poly(rng, rng.randint(0, 3))
+        a = common * random_poly(rng, rng.randint(0, 4))
+        b = common * random_poly(rng, rng.randint(0, 4)) * F(rng.randint(1, 5), rng.randint(1, 5))
+        expected = sympy.gcd(as_sympy_poly(a), as_sympy_poly(b)).monic().all_coeffs()
+        assert poly_gcd(a, b).coeffs == tuple(as_fraction(c) for c in reversed(expected)), (a, b)
+
+
+CENSUS = [(Stencil(2, 2), 2), (Stencil(-1, 3), 1), (Stencil(4, 2), 3), (Stencil(1, 5), 4)] + [
+    (Stencil(3, 3), levels) for levels in range(1, 6)
+]
+
+
+@pytest.mark.parametrize("s,levels", CENSUS, ids=str)
+def test_weight_denominator_census_matches_real_roots(s, levels):
+    # every half-integer grid point in the window, as interval ends
+    grid = [F(n, 2) for n in range(-2 * s.m - 6, 2 * s.m + 7)]
+    for report in sigma_pole_analysis(sigma_weights(s, levels)):
+        roots = sympy.real_roots(as_sympy_poly(report.denominator))
+        distinct = sorted(set(roots), key=lambda r: float(r))
+        assert report.real_root_count == len(distinct) == report.denominator.degree
+
+        def inside(lo, hi):
+            return sum(1 for r in distinct if bool(r > as_rational(lo)) and bool(r <= as_rational(hi)))
+
+        for lo, hi in report.isolating_intervals:
+            assert inside(lo, hi) == 1
+        for lo, hi in zip(grid, grid[1:]):
+            assert sturm_real_root_count(report.denominator, lo, hi) == inside(lo, hi)
