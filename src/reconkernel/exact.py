@@ -469,32 +469,6 @@ def cauchy_root_bound(p: Union[RatPoly, Sequence[Rational]]) -> Fraction:
     return 1 + top / abs(p.leading)
 
 
-def _primitive_scaled(p: RatPoly) -> RatPoly:
-    # positive rescaling only: Sturm sign variations must survive
-    den = lcm(*(c.denominator for c in p.coeffs))
-    ints = [int(c * den) for c in p.coeffs]
-    content = gcd(*ints)
-    return RatPoly.of([Fraction(i, content) for i in ints])
-
-
-def _sturm_chain(p: RatPoly) -> list[RatPoly]:
-    chain = [p, p.derivative()]
-    while True:
-        _, r = divmod(chain[-2], chain[-1])
-        if r.is_zero:
-            return chain
-        chain.append(_primitive_scaled(-r))
-
-
-def _sign_variations(chain: list[RatPoly], x: Fraction) -> int:
-    signs = []
-    for s in chain:
-        v = poly_eval(s, x)
-        if v != 0:
-            signs.append(v > 0)
-    return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
-
-
 def square_free_part(p: Union[RatPoly, Sequence[Rational]]) -> RatPoly:
     """The monic polynomial with the same distinct roots as p, each simple."""
     p = as_poly(p)
@@ -525,5 +499,51 @@ def sturm_real_root_count(
     if p.degree == 0:
         return 0
 
-    chain = _sturm_chain(square_free_part(p))
-    return _sign_variations(chain, a) - _sign_variations(chain, b)
+    chain = _int_sturm_chain(p)
+    return _sturm_variations(chain, a) - _sturm_variations(chain, b)
+
+
+def _int_sturm_chain(p: RatPoly) -> list[list[int]]:
+    """Sturm chain of the square-free part of a nonconstant p, in integers.
+
+    Every entry is a positive multiple of its entry in the rational chain
+    p, p', -rem(p, p'), ...: the pseudo-remainder by b is lc(b)^e times the
+    true remainder, so its sign is flipped back when lc(b) < 0 and e is
+    odd, and each entry is divided by its positive content.  Sign
+    variations, and with them root counts, are those of the rational chain.
+    """
+    first = _int_coeffs(square_free_part(p))
+    chain = [first, _positive_primitive([m * c for m, c in enumerate(first)][1:])]
+    while True:
+        a, b = chain[-2], chain[-1]
+        r = _prem(a, b)
+        if not r:
+            return chain
+        if b[-1] > 0 or (len(a) - len(b)) % 2:
+            r = [-c for c in r]
+        chain.append(_positive_primitive(r))
+
+
+def _positive_primitive(ints: list[int]) -> list[int]:
+    content = gcd(*ints)
+    return [i // content for i in ints]
+
+
+def _homogeneous_eval(coeffs: list[int], n: int, d: int) -> int:
+    """d^deg * P(n/d) by Horner's rule in integers; its sign is that of P(n/d) for d > 0."""
+    acc, scale = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * n + c * scale
+        scale *= d
+    return acc
+
+
+def _sturm_variations(chain: list[list[int]], x: Fraction) -> int:
+    """Sign variations of an integer Sturm chain at x, zero entries dropped."""
+    n, d = x.numerator, x.denominator
+    signs = []
+    for coeffs in chain:
+        v = _homogeneous_eval(coeffs, n, d)
+        if v:
+            signs.append(v > 0)
+    return sum(1 for u, v in zip(signs, signs[1:]) if u != v)

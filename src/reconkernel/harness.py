@@ -21,7 +21,7 @@ from math import exp, fsum, isfinite, ldexp, log, sinh
 from .deconv import tau
 from .exact import ValidationError, _int, poly_eval
 from .recon import basis, face_coeffs
-from .vandermonde import Stencil
+from .vandermonde import Stencil, _stencil
 
 __all__ = [
     "ConvergenceReport",
@@ -107,6 +107,7 @@ class SampleSet:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        _stencil(self.stencil)
         if not (isfinite(self.pivot) and isfinite(self.delta_x) and self.delta_x > 0):
             raise ValidationError("pivot must be finite and delta_x positive")
         if len(self.values) != self.stencil.m + 1:
@@ -203,6 +204,7 @@ def convergence_study(
     MAX_GRID_LEVELS levels are rejected: the smallest width must stay a
     normal float.
     """
+    _stencil(s)
     if target not in _TARGETS:
         raise ValidationError(f"target must be one of {_TARGETS}")
     _int(grid_levels, "at least 3 grid levels required", lo=3)
@@ -243,6 +245,7 @@ def convergence_study(
 
 
 def _require_sample_width(s: Stencil, delta_x: float) -> None:
+    _stencil(s)
     if not (isfinite(delta_x) and delta_x > 0):
         raise ValidationError("delta_x must be positive and finite")
     if max(s.m_plus, 0.5) * delta_x > _LOG_FLOAT_MAX:

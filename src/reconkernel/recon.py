@@ -29,7 +29,7 @@ from .exact import (
     ValidationError,
     _rat,
 )
-from .vandermonde import Stencil, comb0, inv_vandermonde
+from .vandermonde import Stencil, _stencil, comb0, inv_vandermonde
 
 __all__ = [
     "PairCoeffs",
@@ -144,6 +144,7 @@ def basis(s: Stencil) -> ReconstructionBasis:
     cross-checks that every member has degree exactly M and that each family
     sums to the constant 1.
     """
+    _stencil(s)
     vinv = inv_vandermonde(s)
     m_total = s.m
     alpha_f = []
@@ -190,6 +191,7 @@ def face_coeffs(s: Stencil) -> tuple[Fraction, ...]:
     the common denominator (M+1)!.  Raises InvariantError unless the
     coefficients sum to 1.
     """
+    _stencil(s)
     n = s.m + 2
     gaps = [1 + s.m_minus - q for q in range(n)]
     # g_q over q < i in pre[i] and over q >= i in suf[i]

@@ -58,6 +58,13 @@ class Stencil:
         return f"({self.m_minus},{self.m_plus})"
 
 
+def _stencil(s: object) -> Stencil:
+    """s itself when it is a Stencil; else ValidationError."""
+    if not isinstance(s, Stencil):
+        raise ValidationError(f"expected a Stencil, got {type(s).__name__}")
+    return s
+
+
 @dataclass(frozen=True)
 class CoeffTable:
     """Immutable dense matrix of exact rationals."""
@@ -164,6 +171,7 @@ def stirling1_unsigned(n: int, k: int) -> int:
 @cache
 def vandermonde(s: Stencil) -> CoeffTable:
     """Vandermonde matrix of the stencil's node offsets: row l holds l^j."""
+    _stencil(s)
     m = s.m
     return CoeffTable.of([[Fraction(ell**j) for j in range(m + 1)] for ell in s.offsets()])
 
@@ -204,6 +212,7 @@ def inv_vandermonde(s: Stencil) -> CoeffTable:
     where L is the left-aligned inverse and m_minus^n is the literal signed
     power, so windows right of the pivot (negative m_minus) work unchanged.
     """
+    _stencil(s)
     m = s.m
     left = inv_vandermonde_left_aligned(m)
     rows = []
@@ -229,6 +238,7 @@ def nu(s: Stencil, m: int, k: int) -> Fraction:
     for k > M the values are the generators of the truncation-error
     expansions.
     """
+    _stencil(s)
     _int(m, f"row index {m} outside 0..{s.m}", lo=0, hi=s.m)
     _int(k, "power must be a nonnegative integer", lo=0)
     vinv = inv_vandermonde(s)

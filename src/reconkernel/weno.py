@@ -31,14 +31,16 @@ from .exact import (
     RatPoly,
     Rational,
     ValidationError,
+    _homogeneous_eval,
     _int,
+    _int_sturm_chain,
     _rat,
+    _sturm_variations,
     cauchy_root_bound,
     poly_eval,
-    sturm_real_root_count,
 )
 from .recon import basis, face_coeffs, pair_h_from_f
-from .vandermonde import CoeffTable, Stencil, nu
+from .vandermonde import CoeffTable, Stencil, _stencil, nu
 
 __all__ = [
     "ErrorExpansion",
@@ -65,6 +67,7 @@ DEFAULT_MARGIN = 5
 
 
 def _require_expansion_order(s: Stencil, order: int) -> None:
+    _stencil(s)
     _int(order, "expansion order must be an integer")
     if order <= s.m:
         raise ValidationError(
@@ -194,6 +197,7 @@ _EXPANSION_BUILDERS = {
 
 def error_expansion(s: Stencil, kind: str, n_max: "int | None" = None) -> ErrorExpansion:
     """All error polynomials of one kind through order n_max (default M+5)."""
+    _stencil(s)
     if kind not in _EXPANSION_BUILDERS:
         raise ValidationError(f"kind must be one of {sorted(_EXPANSION_BUILDERS)}")
     if n_max is None:
@@ -212,12 +216,14 @@ def error_expansion(s: Stencil, kind: str, n_max: "int | None" = None) -> ErrorE
 
 def substencil(s: Stencil, levels: int, k: int) -> Stencil:
     """Substencil k of the K-fold subdivision; k = 0 is the leftmost."""
+    _stencil(s)
     _int(levels, "subdivision level must be an integer")
     _int(k, f"substencil index {k} outside 0..{levels}", lo=0, hi=levels)
     return Stencil(s.m_minus - k, s.m_plus - levels + k)
 
 
 def _check_subdivision(s: Stencil, levels: int) -> None:
+    _stencil(s)
     _int(levels, "subdivision level must be an integer")
     if s.m < 2:
         raise ValidationError("subdivision needs a stencil of at least three cells")
@@ -240,6 +246,7 @@ class WeightFamily:
     weights: tuple[RatFunction, ...]
 
     def __post_init__(self) -> None:
+        _stencil(self.stencil)
         if len(self.weights) != self.levels + 1:
             raise ValidationError("weight family must hold levels + 1 members")
         total = RatFunction.constant(0)
@@ -324,14 +331,18 @@ class PoleReport:
     isolating_intervals: tuple[tuple[Fraction, Fraction], ...]
 
 
-def _isolate(p: RatPoly, lo: Fraction, hi: Fraction, count: int) -> list[tuple[Fraction, Fraction]]:
+def _isolate(
+    chain: list[list[int]], lo: Fraction, hi: Fraction, v_lo: int, v_hi: int
+) -> list[tuple[Fraction, Fraction]]:
+    # the sign variations at both ends come in, so only the midpoint is new
+    count = v_lo - v_hi
     if count == 0:
         return []
     if count == 1:
         return [(lo, hi)]
     mid = (lo + hi) / 2
-    left = sturm_real_root_count(p, lo, mid)
-    return _isolate(p, lo, mid, left) + _isolate(p, mid, hi, count - left)
+    v_mid = _sturm_variations(chain, mid)
+    return _isolate(chain, lo, mid, v_lo, v_mid) + _isolate(chain, mid, hi, v_mid, v_hi)
 
 
 def sigma_pole_analysis(family: WeightFamily) -> tuple[PoleReport, ...]:
@@ -342,27 +353,30 @@ def sigma_pole_analysis(family: WeightFamily) -> tuple[PoleReport, ...]:
     real and simple), and bisect down to isolating intervals (lo, hi], one
     root each.  Denominators are also checked to be nonzero at every cell
     interface xi = n + 1/2 in the window |n| <= M + 2; a fully cancelled
-    polynomial weight is reported with zero poles.
+    polynomial weight is reported with zero poles.  Each nonconstant
+    denominator gets one integer Sturm chain, whose first entry, the
+    square-free part, also serves the interface check.
     """
+    if not isinstance(family, WeightFamily):
+        raise ValidationError(f"expected a WeightFamily, got {type(family).__name__}")
     reports = []
     m_total = family.stencil.m
     for k, w in enumerate(family.weights):
         den = w.den
-        for n in range(-m_total - 2, m_total + 3):
-            if poly_eval(den, Fraction(2 * n + 1, 2)) == 0:
-                raise InvariantError(
-                    f"weight {k} of {family.stencil} has a pole at the cell interface {n}+1/2"
-                )
         if den.degree == 0:
             reports.append(PoleReport(k, den, 0, ()))
             continue
+        where = f"weight {k} of {family.stencil} at {family.levels} levels"
+        chain = _int_sturm_chain(den)
+        for n in range(-m_total - 2, m_total + 3):
+            if _homogeneous_eval(chain[0], 2 * n + 1, 2) == 0:
+                raise InvariantError(f"{where} has a pole at the cell interface {n}+1/2")
         bound = cauchy_root_bound(den)
-        count = sturm_real_root_count(den, -bound, bound)
+        v_lo, v_hi = _sturm_variations(chain, -bound), _sturm_variations(chain, bound)
+        count = v_lo - v_hi
         if count != den.degree:
-            raise InvariantError(
-                f"weight {k} of {family.stencil}: {count} real roots for degree {den.degree}"
-            )
-        reports.append(PoleReport(k, den, count, tuple(_isolate(den, -bound, bound, count))))
+            raise InvariantError(f"{where}: {count} real roots for degree {den.degree}")
+        reports.append(PoleReport(k, den, count, tuple(_isolate(chain, -bound, bound, v_lo, v_hi))))
     return tuple(reports)
 
 
@@ -454,6 +468,7 @@ def beta_form(s: Stencil, face_centered: bool = False) -> SmoothnessForm:
     and then A^T (H A) are formed in integers, and each entry becomes one
     `Fraction` at the end.
     """
+    _stencil(s)
     if s.m < 1:
         raise ValidationError("smoothness forms need at least two cells")
     # the interval is [lo, hi] / scale with integer ends

@@ -7,7 +7,8 @@ whose back-substitution inverse is checked against its closed form, and the
 face coefficients by the classical product/sum formula in O(M^4) integer
 products, and the smoothness forms by integrating products of the basis
 derivatives one at a time, and the weight-functions and linear weights by
-the level-by-level convolution recurrence over one-fold splits.
+the level-by-level convolution recurrence over one-fold splits, and the
+pole census by Sturm chains in `Fraction`s, rebuilt at every bisection step.
 """
 
 from __future__ import annotations
@@ -15,21 +16,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import factorial, gcd, lcm
 from typing import Iterable
 
 from reconkernel.deconv import _index, tau
 from reconkernel.exact import (
     InvariantError,
     RatFunction,
+    RatPoly,
     Rational,
     ValidationError,
     _rat,
+    as_poly,
+    cauchy_root_bound,
     poly_definite_integral,
+    poly_eval,
+    square_free_part,
 )
 from reconkernel.recon import basis, face_coeffs
 from reconkernel.vandermonde import CoeffTable, Stencil, comb0
-from reconkernel.weno import SmoothnessForm, substencil
+from reconkernel.weno import PoleReport, SmoothnessForm, WeightFamily, substencil
 
 
 # ---------------------------------------------------------------------------
@@ -337,3 +343,77 @@ def sigma_half_recurrence_oracle(s: Stencil, levels: int) -> tuple[Fraction, ...
             acc += prev[l] * sigma_half_recurrence_oracle(substencil(s, levels - 1, l), 1)[k - l]
         out.append(acc)
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# pole census on rational Sturm chains
+# ---------------------------------------------------------------------------
+
+
+def _primitive_scaled(p: RatPoly) -> RatPoly:
+    # positive rescaling only: Sturm sign variations must survive
+    den = lcm(*(c.denominator for c in p.coeffs))
+    ints = [int(c * den) for c in p.coeffs]
+    content = gcd(*ints)
+    return RatPoly.of([Fraction(i, content) for i in ints])
+
+
+def _sturm_chain(p: RatPoly) -> list[RatPoly]:
+    chain = [p, p.derivative()]
+    while True:
+        _, r = divmod(chain[-2], chain[-1])
+        if r.is_zero:
+            return chain
+        chain.append(_primitive_scaled(-r))
+
+
+def _sign_variations(chain: list[RatPoly], x: Fraction) -> int:
+    signs = []
+    for s in chain:
+        v = poly_eval(s, x)
+        if v != 0:
+            signs.append(v > 0)
+    return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
+
+
+def sturm_count_oracle(p, a: Rational, b: Rational) -> int:
+    """Distinct real roots of p in (a, b] from the rational Sturm chain."""
+    p = as_poly(p)
+    if p.degree == 0:
+        return 0
+    chain = _sturm_chain(square_free_part(p))
+    return _sign_variations(chain, _rat(a)) - _sign_variations(chain, _rat(b))
+
+
+def _isolate(p: RatPoly, lo: Fraction, hi: Fraction, count: int) -> list[tuple[Fraction, Fraction]]:
+    if count == 0:
+        return []
+    if count == 1:
+        return [(lo, hi)]
+    mid = (lo + hi) / 2
+    left = sturm_count_oracle(p, lo, mid)
+    return _isolate(p, lo, mid, left) + _isolate(p, mid, hi, count - left)
+
+
+def sigma_pole_analysis_rebuild_oracle(family: WeightFamily) -> tuple[PoleReport, ...]:
+    """The pole census with the Sturm chain rebuilt for every count."""
+    reports = []
+    m_total = family.stencil.m
+    for k, w in enumerate(family.weights):
+        den = w.den
+        for n in range(-m_total - 2, m_total + 3):
+            if poly_eval(den, Fraction(2 * n + 1, 2)) == 0:
+                raise InvariantError(
+                    f"weight {k} of {family.stencil} has a pole at the cell interface {n}+1/2"
+                )
+        if den.degree == 0:
+            reports.append(PoleReport(k, den, 0, ()))
+            continue
+        bound = cauchy_root_bound(den)
+        count = sturm_count_oracle(den, -bound, bound)
+        if count != den.degree:
+            raise InvariantError(
+                f"weight {k} of {family.stencil}: {count} real roots for degree {den.degree}"
+            )
+        reports.append(PoleReport(k, den, count, tuple(_isolate(den, -bound, bound, count))))
+    return tuple(reports)

@@ -182,7 +182,7 @@ class TestExitCodes:
             ["lambda", "--stencil", "30", "6"],
             ["lambda", "--stencil", "1", "1", "--order", "41"],
             ["weights", "--stencil", "9", "8", "--levels", "2"],
-            ["poles", "--stencil", "8", "7"],
+            ["poles", "--stencil", "9", "8"],
             ["beta", "--stencil", "61", "0"],
             ["converge", "--stencil", "30", "31"],
             ["converge", "--stencil", "1", "1", "--target", "derivative", "--levels", "1100"],

@@ -15,11 +15,13 @@ from reconkernel.exact import (
     RatPoly,
     ValidationError,
     poly_eval,
+    poly_gcd,
     poly_sliding_average,
     sturm_real_root_count,
 )
+from reconkernel import harness, weno
 from reconkernel.recon import basis, face_coeffs
-from reconkernel.vandermonde import CoeffTable, Stencil
+from reconkernel.vandermonde import CoeffTable, Stencil, inv_vandermonde, nu, vandermonde
 from reconkernel.weno import (
     DEFAULT_MARGIN,
     Lambda,
@@ -44,6 +46,7 @@ from oracles import (
     beta_form_product_oracle,
     sigma_family_recurrence_oracle,
     sigma_half_recurrence_oracle,
+    sigma_pole_analysis_rebuild_oracle,
 )
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
@@ -421,14 +424,117 @@ class TestPoleAnalysis:
     def test_complex_denominator_roots_are_flagged(self):
         w = RatFunction(RatPoly.of([1]), RatPoly.of([1, 0, 1]))
         family = WeightFamily(Stencil(1, 1), 1, (w, RatFunction.constant(1) - w))
-        with pytest.raises(InvariantError):
+        with pytest.raises(InvariantError) as exc:
             sigma_pole_analysis(family)
+        # the message names the weight, the stencil and the levels
+        assert str(exc.value) == "weight 0 of (1,1) at 1 levels: 0 real roots for degree 2"
 
     def test_interface_pole_is_flagged(self):
         w = RatFunction(RatPoly.of([1]), RatPoly.of([F(-1, 2), 1]))
         family = WeightFamily(Stencil(1, 1), 1, (w, RatFunction.constant(1) - w))
-        with pytest.raises(InvariantError):
+        with pytest.raises(InvariantError) as exc:
             sigma_pole_analysis(family)
+        assert str(exc.value) == "weight 0 of (1,1) at 1 levels has a pole at the cell interface 0+1/2"
+
+
+def census_class_ends():
+    # the nearest and farthest windows of the (M, K) = (5, 2) and (6, 3)
+    # benchmark census classes, right of the pivot and mirrored left of it
+    out = []
+    for m, levels, cells in ((5, 2, (20, 63)), (6, 3, (70, 91))):
+        for c in cells:
+            out += [(Stencil(-c, m + c), levels), (Stencil(m + c, -c), levels)]
+    return out
+
+
+class TestCensusRoutesAgree:
+    """One integer Sturm chain per denominator against the rebuild-per-step oracle."""
+
+    @pytest.mark.parametrize("m", range(2, 10))
+    def test_every_padded_window(self, m):
+        for s in near_pivot_windows(m, 2):
+            for levels in range(1, m):
+                family = sigma_weights(s, levels)
+                expected = sigma_pole_analysis_rebuild_oracle(family)
+                assert sigma_pole_analysis(family) == expected, (s, levels)
+
+    @pytest.mark.parametrize("s, levels", census_class_ends(), ids=str)
+    def test_census_class_ends(self, s, levels):
+        family = sigma_weights(s, levels)
+        assert sigma_pole_analysis(family) == sigma_pole_analysis_rebuild_oracle(family)
+
+    def test_one_chain_per_nonconstant_denominator(self, monkeypatch):
+        build = weno._int_sturm_chain
+        calls = []
+
+        def counting(p):
+            calls.append(p)
+            return build(p)
+
+        monkeypatch.setattr(weno, "_int_sturm_chain", counting)
+        polynomial = WeightFamily(
+            Stencil(1, 1), 1, (RatFunction.constant(F(1, 3)), RatFunction.constant(F(2, 3)))
+        )
+        families = [sigma_weights(s, levels) for s, levels in ((Stencil(3, 3), 3), (Stencil(4, 5), 4))]
+        for family in families + [sigma_weights(*census_class_ends()[0]), polynomial]:
+            calls.clear()
+            reports = sigma_pole_analysis(family)
+            assert calls == [r.denominator for r in reports if r.denominator.degree > 0]
+        assert calls == []
+
+
+class TestDenominatorFactors:
+    """den_k = D_(k-1) D_k, with D_j the monic leftmost alpha_h of substencil j.
+
+    The end weights take one factor each.  The factors of neighbouring
+    weights are coprime, so the census finds each root of D_j once in
+    each of the two weights it divides.
+    """
+
+    @pytest.mark.parametrize("m", range(2, 12))
+    def test_every_padded_window(self, m):
+        for s in near_pivot_windows(m, 3):
+            for levels in range(1, m):
+                d = [basis(substencil(s, levels, j)).alpha_h[0].monic() for j in range(levels)]
+                assert all(f.degree == m - levels for f in d), (s, levels)
+                assert all(poly_gcd(a, b).degree == 0 for a, b in zip(d, d[1:])), (s, levels)
+                expected = [d[0]] + [a * b for a, b in zip(d, d[1:])] + [d[-1]]
+                reports = sigma_pole_analysis(sigma_weights(s, levels))
+                assert [r.denominator for r in reports] == expected, (s, levels)
+
+
+WRONG_TYPE_CASES = [
+    (vandermonde, ()),
+    (inv_vandermonde, ()),
+    (nu, (0, 0)),
+    (basis, ()),
+    (face_coeffs, ()),
+    (mu_f, (3,)),
+    (mu_h, (3,)),
+    (lambda_f, (3,)),
+    (lambda_h, (3,)),
+    (Lambda, (3,)),
+    (error_expansion, ("h",)),
+    (substencil, (1, 0)),
+    (sigma_weights, (1,)),
+    (sigma_values_at_half, (1,)),
+    (beta_form, ()),
+    (harness.derivative_coeffs, ()),
+    (harness.convergence_study, ("face",)),
+    (harness.non_interpolation_check, (0.1,)),
+    (harness.halving_slope, (0.1,)),
+    (sigma_pole_analysis, ()),
+    (WeightFamily, (1, (RatFunction.constant(1), RatFunction.constant(0)))),
+    (harness.SampleSet, (0.0, 0.1, (1.0, 1.0, 1.0))),
+]
+
+
+@pytest.mark.parametrize("call, args", WRONG_TYPE_CASES, ids=[c.__name__ for c, _ in WRONG_TYPE_CASES])
+def test_wrong_argument_type_is_a_validation_error(call, args):
+    # a tuple where a Stencil (or, for the census, a WeightFamily) belongs,
+    # also as the stencil field of a weight family or a sample set
+    with pytest.raises(ValidationError, match="expected a (Stencil|WeightFamily), got tuple"):
+        call((2, 2), *args)
 
 
 class TestPositivityScan:

@@ -16,10 +16,12 @@ from reconkernel.exact import (
     poly_eval,
     poly_gcd,
     poly_sliding_average,
+    _int_sturm_chain,
+    _sturm_variations,
     square_free_part,
     sturm_real_root_count,
 )
-from oracles import PowerSeries, series_divide
+from oracles import PowerSeries, _sign_variations, _sturm_chain, series_divide
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 small_polys = st.lists(rationals, max_size=7).map(RatPoly.of)
@@ -287,3 +289,41 @@ class TestGcdAndSturm:
         for a, b in [(F(-3), F(3)), (F(-2), F(1)), (F(0), F(1, 3)), (F(2), F(3))]:
             expected = sum(1 for r in roots if a < r <= b)
             assert sturm_real_root_count(p, a, b) == expected
+
+
+class TestIntegerSturmChain:
+    """The integer chain against the rational chain it replaces."""
+
+    @staticmethod
+    def assert_chains_agree(p, points):
+        chain = _int_sturm_chain(p)
+        oracle = _sturm_chain(square_free_part(p))
+        assert len(chain) == len(oracle)
+        for ints, q in zip(chain, oracle):
+            entry = RatPoly.of(ints)
+            ratio = entry.leading / q.leading
+            assert ratio > 0 and entry == q * ratio, (ints, q.coeffs)
+        for x in points:
+            assert _sturm_variations(chain, x) == _sign_variations(oracle, x)
+        return chain
+
+    # mostly zero coefficients, so that remainders often drop two degrees
+    @given(
+        st.lists(st.sampled_from([0, 0, 0, -3, -1, 1, 2, 5]), min_size=2, max_size=9),
+        st.lists(rationals, min_size=1, max_size=6),
+    )
+    @settings(max_examples=200)
+    def test_entries_are_positive_multiples_of_the_rational_chain(self, coeffs, points):
+        p = RatPoly.of(coeffs)
+        if p.degree >= 1:
+            self.assert_chains_agree(p, points)
+
+    def test_remainder_after_a_negative_leading_coefficient_keeps_its_sign(self):
+        # x^5 + 5x^2 + 5x + 3: an entry with a negative leading coefficient is
+        # followed by a remainder two degrees lower, where lc^3 flips the sign
+        p = RatPoly.of([3, 5, 5, 0, 0, 1])
+        chain = self.assert_chains_agree(p, [F(-3), F(-1, 2), F(0), F(3)])
+        assert any(
+            b[-1] < 0 and (len(a) - len(b)) % 2 == 0 for a, b in zip(chain, chain[1:-1])
+        )
+        assert sturm_real_root_count(p, -3, 3) == 1
