@@ -173,14 +173,14 @@ class RatPoly:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        q = RatPoly()
-        r = self
         d, lc = other.degree, other.leading
-        while not r.is_zero and r.degree >= d:
-            t = RatPoly.monomial(r.degree - d, r.leading / lc)
-            q = q + t
-            r = r - t * other
-        return q, r
+        r = list(self.coeffs)
+        q = [Fraction(0)] * max(len(r) - d, 0)
+        for k in reversed(range(len(q))):
+            q[k] = t = r[k + d] / lc
+            for i, c in enumerate(other.coeffs):
+                r[k + i] -= t * c
+        return RatPoly(tuple(q)), RatPoly(tuple(r[:d]))
 
     def derivative(self) -> "RatPoly":
         return RatPoly(tuple(m * self.coeffs[m] for m in range(1, len(self.coeffs))))

@@ -124,6 +124,8 @@ class SampleSet:
 
 def reconstruct_face(samples: SampleSet) -> float:
     """Reconstructed point value at the right face of the pivot cell."""
+    if not isinstance(samples, SampleSet):
+        raise ValidationError(f"expected a SampleSet, got {type(samples).__name__}")
     coeffs = face_coeffs(samples.stencil)
     return fsum(float(a) * v for a, v in zip(coeffs, samples.values))
 

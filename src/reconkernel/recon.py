@@ -21,7 +21,7 @@ from functools import cache
 from math import comb, factorial
 from typing import Sequence, Union
 
-from .deconv import tau
+from .deconv import deconv_forward_coeff, tau
 from .exact import (
     InvariantError,
     RatPoly,
@@ -29,7 +29,7 @@ from .exact import (
     ValidationError,
     _rat,
 )
-from .vandermonde import Stencil, _stencil, comb0, inv_vandermonde
+from .vandermonde import Stencil, _stencil, inv_vandermonde
 
 __all__ = [
     "PairCoeffs",
@@ -52,21 +52,25 @@ def _coeff_tuple(c: CoeffList) -> tuple[Fraction, ...]:
     return tuple(_rat(x) for x in c)
 
 
+def _pair_map(c: CoeffList, weight) -> list[Fraction]:
+    # c_out[m] = (1/m!) sum_k w_k (m+2k)! c[m+2k] over the nonzero c, w_k = weight(k)
+    cs = _coeff_tuple(c)
+    n = len(cs)
+    w = [weight(k) for k in range((n + 1) // 2)]
+    out = []
+    for m in range(n):
+        terms = (w[(j - m) // 2] * factorial(j) * cs[j] for j in range(m, n, 2) if cs[j])
+        out.append(sum(terms, Fraction(0)) / factorial(m))
+    return out
+
+
 def pair_f_from_h(c_h: CoeffList) -> list[Fraction]:
     """Coefficients of the sliding average of a polynomial, term by term.
 
     c_f[m] = sum_k c_h[m+2k] * C(m+2k, 2k) / ((2k+1) 2^(2k)); the output has
     the same length as the input.
     """
-    ch = _coeff_tuple(c_h)
-    n = len(ch)
-    out = []
-    for m in range(n):
-        acc = Fraction(0)
-        for k in range((n - 1 - m) // 2 + 1):
-            acc += ch[m + 2 * k] * Fraction(comb0(m + 2 * k, 2 * k), (2 * k + 1) * 4**k)
-        out.append(acc)
-    return out
+    return _pair_map(c_h, deconv_forward_coeff)
 
 
 def pair_h_from_f(c_f: CoeffList) -> list[Fraction]:
@@ -74,15 +78,7 @@ def pair_h_from_f(c_f: CoeffList) -> list[Fraction]:
 
     c_h[m] = (1/m!) sum_k tau_{2k} c_f[m+2k] (m+2k)!.
     """
-    cf = _coeff_tuple(c_f)
-    n = len(cf)
-    out = []
-    for m in range(n):
-        acc = Fraction(0)
-        for k in range((n - 1 - m) // 2 + 1):
-            acc += tau(2 * k) * cf[m + 2 * k] * factorial(m + 2 * k)
-        out.append(acc / factorial(m))
-    return out
+    return _pair_map(c_f, lambda k: tau(2 * k))
 
 
 @dataclass(frozen=True)

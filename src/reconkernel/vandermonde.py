@@ -2,9 +2,11 @@
 
 A stencil (m_minus, m_plus) is the contiguous cell-index window
 {-m_minus, ..., m_plus} around a pivot cell.  The Vandermonde matrix of its
-node offsets is inverted in closed form: the inverse on the left-aligned
-window {0, ..., M} has entries built from unsigned Stirling numbers of the
-first kind, and a binomial shift transports that inverse to any window.
+node offsets is inverted through its Lagrange cardinal polynomials: column j
+of the inverse is the node polynomial prod_k (x - x_k) divided by (x - x_j)
+and by its derivative at x_j, all in integers.  The closed form on the
+left-aligned window {0, ..., M}, from unsigned Stirling numbers of the first
+kind, stays public as an independent check.
 """
 
 from __future__ import annotations
@@ -205,30 +207,26 @@ def inv_vandermonde_left_aligned(m: int) -> CoeffTable:
 def inv_vandermonde(s: Stencil) -> CoeffTable:
     """Exact inverse Vandermonde matrix on an arbitrary stencil.
 
-    Transports the left-aligned inverse by the binomial shift: zero-based
-
-        entry(i, j) = sum_{n=0}^{m-i} m_minus^n * C(n+i, n) * L[i+n][j],
-
-    where L is the left-aligned inverse and m_minus^n is the literal signed
-    power, so windows right of the pivot (negative m_minus) work unchanged.
+    Column j holds the coefficients of the Lagrange cardinal polynomial of
+    node x_j: the node polynomial P(x) = prod_k (x - x_k), built once in
+    integers, divided synthetically by (x - x_j) and then by
+    P'(x_j) = (-1)^(M-j) j! (M-j)!, with one fraction per entry (the O(M^2)
+    inverse of Press et al., Numerical Recipes, section 2.8).  Nodes are
+    the signed offsets, so windows beside the pivot work unchanged.
     """
     _stencil(s)
     m = s.m
-    left = inv_vandermonde_left_aligned(m)
-    rows = []
-    for i in range(m + 1):
-        row = []
-        for j in range(m + 1):
-            total = sum(
-                (
-                    Fraction(s.m_minus**n * comb0(n + i, n)) * left[i + n, j]
-                    for n in range(m - i + 1)
-                ),
-                Fraction(0),
-            )
-            row.append(total)
-        rows.append(row)
-    return CoeffTable.of(rows)
+    master = [1]
+    for x in s.offsets():
+        master = [a - x * b for a, b in zip([0] + master, master + [0])]
+    cols = []
+    for j, x in enumerate(s.offsets()):
+        q = [master[-1]]
+        for p in reversed(master[1:-1]):
+            q.append(p + x * q[-1])
+        den = (-1) ** (m - j) * factorial(j) * factorial(m - j)
+        cols.append([Fraction(c, den) for c in reversed(q)])
+    return CoeffTable.of(zip(*cols))
 
 
 def nu(s: Stencil, m: int, k: int) -> Fraction:

@@ -39,7 +39,7 @@ from .exact import (
     cauchy_root_bound,
     poly_eval,
 )
-from .recon import basis, face_coeffs, pair_h_from_f
+from .recon import basis, face_coeffs, pair_f_from_h, pair_h_from_f
 from .vandermonde import CoeffTable, Stencil, _stencil, nu
 
 __all__ = [
@@ -116,6 +116,18 @@ def mu_h(s: Stencil, order: int) -> RatPoly:
     return _mu_h_any(s, order)
 
 
+def _relocated(s: Stencil, order: int, mu, averaged: bool) -> RatPoly:
+    # sum_{l=0}^{n-M-1} mu(s, n-l) * k_l, with k_l = (-xi)^l/l! or, when
+    # averaged, its sliding average
+    total = RatPoly()
+    for l in range(order - s.m):
+        kernel = RatPoly.monomial(l, Fraction((-1) ** l, factorial(l)))
+        if averaged:
+            kernel = RatPoly.of(pair_f_from_h(kernel.coeffs))
+        total = total + mu(s, order - l) * kernel
+    return total
+
+
 @cache
 def lambda_h(s: Stencil, order: int) -> RatPoly:
     """Local-derivative error polynomial of the reconstruction.
@@ -124,21 +136,14 @@ def lambda_h(s: Stencil, order: int) -> RatPoly:
     pivot derivatives of the averaged field for derivatives of the
     reconstructed function itself:
 
-        lambda_h(s, n) = sum_{l=0}^{n-M-1} mu_h(s, n-l) *
-            ((-1)^(l+1)/(l+1)!) * ((xi-1/2)^(l+1) - (xi+1/2)^(l+1)).
+        lambda_h(s, n) = sum_{l=0}^{n-M-1} mu_h(s, n-l) * k_l,
 
-    The l = 0 factor is 1, so the leading term equals mu_h(s, M+1).
+    where k_l is the sliding average (`pair_f_from_h`) of (-xi)^l/l!, that
+    is ((-1)^(l+1)/(l+1)!) * ((xi-1/2)^(l+1) - (xi+1/2)^(l+1)).  The l = 0
+    kernel is 1, so the leading term equals mu_h(s, M+1).
     """
     _require_expansion_order(s, order)
-    half = Fraction(1, 2)
-    ximinus = RatPoly((-half, Fraction(1)))
-    xiplus = RatPoly((half, Fraction(1)))
-    total = RatPoly()
-    for l in range(order - s.m):
-        bracket = ximinus ** (l + 1) - xiplus ** (l + 1)
-        factor = Fraction((-1) ** (l + 1), factorial(l + 1))
-        total = total + mu_h(s, order - l) * bracket * factor
-    return total
+    return _relocated(s, order, mu_h, averaged=True)
 
 
 @cache
@@ -148,10 +153,7 @@ def lambda_f(s: Stencil, order: int) -> RatPoly:
     lambda_f(s, n) = sum_{l=0}^{n-M-1} ((-xi)^l / l!) * mu_f(s, n-l).
     """
     _require_expansion_order(s, order)
-    total = RatPoly()
-    for l in range(order - s.m):
-        total = total + RatPoly.monomial(l, Fraction((-1) ** l, factorial(l))) * mu_f(s, order - l)
-    return total
+    return _relocated(s, order, mu_f, averaged=False)
 
 
 def Lambda(s: Stencil, order: int) -> Fraction:

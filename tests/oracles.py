@@ -9,6 +9,10 @@ products, and the smoothness forms by integrating products of the basis
 derivatives one at a time, and the weight-functions and linear weights by
 the level-by-level convolution recurrence over one-fold splits, and the
 pole census by Sturm chains in `Fraction`s, rebuilt at every bisection step.
+The inverse Vandermonde matrix is also reached by the binomial shift of the
+Stirling closed form, and the local-derivative error polynomials by
+polynomial powers: their brackets, and the Taylor expansion of every sample
+about the evaluation point in the cardinal basis.
 """
 
 from __future__ import annotations
@@ -34,8 +38,15 @@ from reconkernel.exact import (
     square_free_part,
 )
 from reconkernel.recon import basis, face_coeffs
-from reconkernel.vandermonde import CoeffTable, Stencil, comb0
-from reconkernel.weno import PoleReport, SmoothnessForm, WeightFamily, substencil
+from reconkernel.vandermonde import CoeffTable, Stencil, comb0, inv_vandermonde_left_aligned
+from reconkernel.weno import (
+    PoleReport,
+    SmoothnessForm,
+    WeightFamily,
+    _require_expansion_order,
+    mu_h,
+    substencil,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +228,39 @@ def deconv_matrix_inverse(m: int) -> CoeffTable:
 
 
 # ---------------------------------------------------------------------------
+# inverse Vandermonde matrices by the binomial shift
+# ---------------------------------------------------------------------------
+
+
+def inv_vandermonde_shift_oracle(s: Stencil) -> CoeffTable:
+    """Exact inverse Vandermonde matrix on an arbitrary stencil.
+
+    Transports the left-aligned inverse by the binomial shift: zero-based
+
+        entry(i, j) = sum_{n=0}^{m-i} m_minus^n * C(n+i, n) * L[i+n][j],
+
+    where L is the left-aligned inverse and m_minus^n is the literal signed
+    power, so windows right of the pivot (negative m_minus) work unchanged.
+    """
+    m = s.m
+    left = inv_vandermonde_left_aligned(m)
+    rows = []
+    for i in range(m + 1):
+        row = []
+        for j in range(m + 1):
+            total = sum(
+                (
+                    Fraction(s.m_minus**n * comb0(n + i, n)) * left[i + n, j]
+                    for n in range(m - i + 1)
+                ),
+                Fraction(0),
+            )
+            row.append(total)
+        rows.append(row)
+    return CoeffTable.of(rows)
+
+
+# ---------------------------------------------------------------------------
 # face coefficients
 # ---------------------------------------------------------------------------
 
@@ -249,6 +293,76 @@ def face_coeffs_shu_oracle(s: Stencil) -> tuple[Fraction, ...]:
             total += Fraction(num, den)
         out.append(total)
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# local-derivative error polynomials by polynomial powers
+# ---------------------------------------------------------------------------
+
+
+def lambda_h_power_oracle(s: Stencil, order: int) -> RatPoly:
+    """Local-derivative error polynomial of the reconstruction.
+
+    Re-centers the mu_h expansion on the evaluation point and trades the
+    pivot derivatives of the averaged field for derivatives of the
+    reconstructed function itself:
+
+        lambda_h(s, n) = sum_{l=0}^{n-M-1} mu_h(s, n-l) *
+            ((-1)^(l+1)/(l+1)!) * ((xi-1/2)^(l+1) - (xi+1/2)^(l+1)).
+
+    The l = 0 factor is 1, so the leading term equals mu_h(s, M+1).
+    """
+    _require_expansion_order(s, order)
+    half = Fraction(1, 2)
+    ximinus = RatPoly((-half, Fraction(1)))
+    xiplus = RatPoly((half, Fraction(1)))
+    total = RatPoly()
+    for l in range(order - s.m):
+        bracket = ximinus ** (l + 1) - xiplus ** (l + 1)
+        factor = Fraction((-1) ** (l + 1), factorial(l + 1))
+        total = total + mu_h(s, order - l) * bracket * factor
+    return total
+
+
+def lambda_f_cardinal_oracle(s: Stencil, order: int) -> RatPoly:
+    """lambda_f(s, n)(xi) = sum_l alpha_f,l(xi) (l-xi)^n / n!, for n > M.
+
+    Each sample f_l is the Taylor series of f about xi evaluated at l, and
+    the interpolant reproduces the terms below order M+1.
+    """
+    total = RatPoly()
+    for ell, alpha in zip(s.offsets(), basis(s).alpha_f):
+        total = total + alpha * RatPoly((Fraction(ell), Fraction(-1))) ** order
+    return total * Fraction(1, factorial(order))
+
+
+def lambda_h_cardinal_oracle(s: Stencil, order: int) -> RatPoly:
+    """lambda_h(s, n)(xi) = sum_l alpha_h,l(xi) ((l+1/2-xi)^(n+1) - (l-1/2-xi)^(n+1)) / (n+1)!.
+
+    The bracket over (n+1)! is the cell-l average of (x-xi)^n/n!, the
+    Taylor term of h about xi, and the reconstruction reproduces the terms
+    below order M+1.
+    """
+    half = Fraction(1, 2)
+    total = RatPoly()
+    for ell, alpha in zip(s.offsets(), basis(s).alpha_h):
+        right = RatPoly((ell + half, Fraction(-1))) ** (order + 1)
+        left = RatPoly((ell - half, Fraction(-1))) ** (order + 1)
+        total = total + alpha * (right - left)
+    return total * Fraction(1, factorial(order + 1))
+
+
+def Lambda_face_oracle(s: Stencil, order: int) -> Fraction:
+    """Lambda(s, n) = sum_l c_l (l^(n+1) - (l-1)^(n+1)) / (n+1)!, c = face_coeffs(s).
+
+    The bracket over (n+1)! is the cell-l average of (x-1/2)^n/n!, the
+    Taylor term of h about the face.
+    """
+    total = sum(
+        c * (ell ** (order + 1) - (ell - 1) ** (order + 1))
+        for ell, c in zip(s.offsets(), face_coeffs(s))
+    )
+    return total / factorial(order + 1)
 
 
 # ---------------------------------------------------------------------------

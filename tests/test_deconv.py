@@ -19,6 +19,7 @@ from reconkernel.deconv import (
     tau,
 )
 from reconkernel.exact import RatPoly, ValidationError
+from reconkernel.recon import pair_h_from_f
 from oracles import tau_gf_oracle
 
 # frozen even-index values through index 20
@@ -113,6 +114,13 @@ class TestShiftedTaylor:
             for m, c in enumerate(p.coeffs):
                 if (s - m) % 2 == 1:
                     assert c == 0
+
+    def test_is_the_deconvolution_of_a_monomial(self):
+        # the jet of h at xi against the f-derivatives is the deconvolution
+        # of the Taylor term xi^k/k!
+        for k in range(41):
+            monomial = RatPoly.monomial(k, F(1, factorial(k)))
+            assert shifted_taylor_poly(k) == RatPoly.of(pair_h_from_f(monomial.coeffs)), k
 
 
 class TestDoubleReconstruction:

@@ -43,7 +43,11 @@ from reconkernel.weno import (
     substencil,
 )
 from oracles import (
+    Lambda_face_oracle,
     beta_form_product_oracle,
+    lambda_f_cardinal_oracle,
+    lambda_h_cardinal_oracle,
+    lambda_h_power_oracle,
     sigma_family_recurrence_oracle,
     sigma_half_recurrence_oracle,
     sigma_pole_analysis_rebuild_oracle,
@@ -280,6 +284,41 @@ def subdivisions(max_extent):
         for levels in range(1, s.m):
             out.append((s, levels))
     return out
+
+
+def padded_windows(max_m, pad):
+    return [s for m in range(max_m + 1) for s in near_pivot_windows(m, pad)]
+
+
+class TestLambdaRoutesAgree:
+    """The local-derivative expansions against routes that build polynomial powers."""
+
+    @pytest.mark.parametrize("s", padded_windows(8, 3), ids=str)
+    def test_relocation_matches_power_brackets_and_taylor_terms(self, s):
+        for order in range(s.m + 1, s.m + 7):
+            assert lambda_h(s, order) == lambda_h_power_oracle(s, order), order
+            assert lambda_f(s, order) == lambda_f_cardinal_oracle(s, order), order
+
+    @pytest.mark.parametrize("s", padded_windows(6, 3), ids=str)
+    def test_cardinal_routes_of_the_reconstruction(self, s):
+        # lambda_h from the cell averages of the Taylor terms about xi, and
+        # Lambda from those about the face, weighted by the face coefficients
+        for order in range(s.m + 1, s.m + 6):
+            assert lambda_h(s, order) == lambda_h_cardinal_oracle(s, order), order
+            assert Lambda(s, order) == Lambda_face_oracle(s, order), order
+
+    def test_expansions_build_no_polynomial_power(self, monkeypatch):
+        s = Stencil(2, 3)
+        expected = {kind: error_expansion(s, kind, 11) for kind in ("lambda-f", "lambda-h")}
+
+        def forbidden(*args):
+            raise AssertionError("an error expansion built a polynomial power")
+
+        monkeypatch.setattr(RatPoly, "__pow__", forbidden)
+        for memoized in (mu_f, mu_h, lambda_f, lambda_h):
+            memoized.cache_clear()
+        for kind, expansion in expected.items():
+            assert error_expansion(s, kind, 11) == expansion
 
 
 class TestSubstencilWeights:
@@ -526,14 +565,16 @@ WRONG_TYPE_CASES = [
     (sigma_pole_analysis, ()),
     (WeightFamily, (1, (RatFunction.constant(1), RatFunction.constant(0)))),
     (harness.SampleSet, (0.0, 0.1, (1.0, 1.0, 1.0))),
+    (harness.reconstruct_face, ()),
 ]
 
 
 @pytest.mark.parametrize("call, args", WRONG_TYPE_CASES, ids=[c.__name__ for c, _ in WRONG_TYPE_CASES])
 def test_wrong_argument_type_is_a_validation_error(call, args):
-    # a tuple where a Stencil (or, for the census, a WeightFamily) belongs,
-    # also as the stencil field of a weight family or a sample set
-    with pytest.raises(ValidationError, match="expected a (Stencil|WeightFamily), got tuple"):
+    # a tuple where a Stencil (or, for the census, a WeightFamily, and for
+    # the face value, a SampleSet) belongs, also as the stencil field of a
+    # weight family or a sample set
+    with pytest.raises(ValidationError, match="expected a (Stencil|WeightFamily|SampleSet), got tuple"):
         call((2, 2), *args)
 
 

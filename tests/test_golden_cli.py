@@ -2,12 +2,12 @@
 
 `perfbench/golden_cli.json` maps each request (the argv as one string) to
 the SHA-256 of "<exit code>\\n" followed by its stdout.  Every request of
-the face-value commands (face-coeffs, basis, positivity), of the weight
-commands (weights, poles) and of the smoothness forms (beta) is replayed in
-process here.  Of every other
-(subcommand, format) group, every tenth request and the group's last one
-are, so small groups are sampled past their trivial first entry.  The file
-is only read.
+the stencil tables (vandermonde, basis, face-coeffs), of the error
+polynomials (error-poly, lambda), of the weight commands (positivity,
+weights, poles) and of the smoothness forms (beta) is replayed in process
+here.  Of every other (subcommand, format) group, every tenth request and
+the group's last one are, so small groups are sampled past their trivial
+first entry.  The file is only read.
 """
 
 import hashlib
@@ -24,7 +24,17 @@ GOLDEN = json.loads(
 )
 STRIDE = 10
 #: subcommands whose every request is replayed
-FULL = ("face-coeffs", "basis", "positivity", "weights", "poles", "beta")
+FULL = (
+    "vandermonde",
+    "basis",
+    "face-coeffs",
+    "error-poly",
+    "lambda",
+    "positivity",
+    "weights",
+    "poles",
+    "beta",
+)
 
 
 def sampled_groups() -> dict[str, list[str]]:

@@ -70,6 +70,21 @@ class TestPairMaps:
         with pytest.raises(ValidationError):
             pair_f_from_h(RatPoly.of([1, 2]))
 
+    def test_one_map_serves_both_directions(self, monkeypatch):
+        # the two directions differ only in their weights: the forward
+        # 1/(4^k (2k+1)!) and tau_{2k}
+        pair_map = recon._pair_map
+        seen = []
+
+        def recording(c, weight):
+            seen.append(weight(1))
+            return pair_map(c, weight)
+
+        monkeypatch.setattr(recon, "_pair_map", recording)
+        assert pair_f_from_h([0, 0, 1]) == [F(1, 12), 0, 1]
+        assert pair_h_from_f([F(1, 12), 0, 1]) == [0, 0, 1]
+        assert seen == [F(1, 24), F(-1, 24)]
+
     @given(coeff_lists)
     @settings(max_examples=150)
     def test_round_trip_both_ways(self, c):

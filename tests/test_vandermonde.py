@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from reconkernel import vandermonde as vandermonde_module
 from reconkernel.exact import ValidationError
 from reconkernel.vandermonde import (
     CoeffTable,
@@ -16,6 +17,7 @@ from reconkernel.vandermonde import (
     stirling1_unsigned,
     vandermonde,
 )
+from oracles import inv_vandermonde_shift_oracle
 
 
 def gauss_inverse(t: CoeffTable) -> CoeffTable:
@@ -156,6 +158,34 @@ class TestVandermondeMatrices:
     def test_negative_side_stencil_inverse(self):
         s = Stencil(-1, 4)
         assert inv_vandermonde(s).matmul(vandermonde(s)) == CoeffTable.identity(4)
+
+
+def padded_windows(max_m, pad):
+    # every window with M <= max_m whose pivot lies at most pad cells outside it
+    return [Stencil(mm, m - mm) for m in range(max_m + 1) for mm in range(-pad, m + pad + 1)]
+
+
+class TestInverseRoutesAgree:
+    """The node-polynomial inverse against the binomial shift of the Stirling closed form."""
+
+    @pytest.mark.parametrize("s", padded_windows(12, 4), ids=str)
+    def test_every_padded_window(self, s):
+        assert inv_vandermonde(s) == inv_vandermonde_shift_oracle(s)
+
+    @pytest.mark.parametrize("m", (20, 40))
+    def test_wide_centred_windows(self, m):
+        s = Stencil(m // 2, m - m // 2)
+        assert inv_vandermonde(s) == inv_vandermonde_shift_oracle(s)
+
+    def test_inverse_reaches_no_stirling_number(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the inverse reached the Stirling closed form")
+
+        monkeypatch.setattr(vandermonde_module, "stirling1_unsigned", forbidden)
+        monkeypatch.setattr(vandermonde_module, "inv_vandermonde_left_aligned", forbidden)
+        inv_vandermonde.cache_clear()
+        s = Stencil(3, 4)
+        assert inv_vandermonde(s).matmul(vandermonde(s)) == CoeffTable.identity(8)
 
 
 class TestNu:
