@@ -15,10 +15,9 @@ used for exact second-derivative flux differences.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from math import comb, factorial
 
-from .exact import RatPoly, _int
+from .exact import RatPoly, _int, _memo
 
 __all__ = [
     "deconv_forward_coeff",
@@ -39,7 +38,7 @@ def _index(n: int) -> int:
 _TAU_EVEN = {0: Fraction(1)}
 
 
-@cache
+@_memo
 def tau(n: int) -> Fraction:
     """The n-th tau number.
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, wraps
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
@@ -66,6 +67,26 @@ def _int(x: object, message: str, lo: "int | None" = None, hi: "int | None" = No
     ):
         raise ValidationError(message)
     return x
+
+
+def _memo(fn):
+    """`functools.cache` of fn, with ValidationError for an unhashable argument."""
+    cached = cache(fn)
+
+    @wraps(fn)
+    def call(*args):
+        try:
+            return cached(*args)
+        except TypeError:
+            try:
+                hash(args)
+            except TypeError:
+                raise ValidationError(f"{fn.__name__} takes hashable arguments only") from None
+            raise
+
+    call.cache_info = cached.cache_info
+    call.cache_clear = cached.cache_clear
+    return call
 
 
 # ---------------------------------------------------------------------------
@@ -261,21 +282,19 @@ def exact_div(p: RatPoly, d: RatPoly) -> RatPoly:
 
 
 # ---------------------------------------------------------------------------
-# gcd via the integer subresultant remainder sequence
+# gcd and Sturm chains on one integer remainder sequence
 # ---------------------------------------------------------------------------
 
 
 def _int_coeffs(p: RatPoly) -> list[int]:
     """Primitive integer coefficients of a positive rational multiple of p."""
     den = lcm(*(c.denominator for c in p.coeffs))
-    ints = [int(c * den) for c in p.coeffs]
-    return _primitive_ints(ints)
+    return _positive_primitive([int(c * den) for c in p.coeffs])
 
 
-def _primitive_ints(ints: list[int]) -> list[int]:
+def _positive_primitive(ints: list[int]) -> list[int]:
     content = gcd(*ints)
-    sign = -1 if ints[-1] < 0 else 1
-    return [i // (sign * content) for i in ints]
+    return [i // content for i in ints]
 
 
 def _prem(a: list[int], b: list[int]) -> list[int]:
@@ -283,68 +302,50 @@ def _prem(a: list[int], b: list[int]) -> list[int]:
     db = len(b) - 1
     lb = b[-1]
     r = list(a)
-    e = (len(a) - 1) - db + 1
-    while r and len(r) - 1 >= db:
-        lead = r[-1]
-        k = len(r) - 1 - db
+    # one step per degree from deg a down to deg b, zero leads included
+    for k in reversed(range(len(a) - db)):
+        lead = r.pop()
         r = [lb * c for c in r]
-        for j in range(db + 1):
+        for j in range(db):
             r[k + j] -= lead * b[j]
-        while r and r[-1] == 0:
-            r.pop()
-        e -= 1
-    if e > 0 and r:
-        scale = lb**e
-        r = [scale * c for c in r]
+    while r and r[-1] == 0:
+        r.pop()
     return r
 
 
-def _exact_int_div(c: int, d: int) -> int:
-    q, rem = divmod(c, d)
-    if rem:
-        raise InvariantError("subresultant division was not exact")
-    return q
+def _remainder_sequence(a: list[int], b: list[int]) -> list[list[int]]:
+    """The sequence a, b, -rem(a, b), ... in primitive integers, deg a >= deg b.
 
-
-def _int_poly_gcd(a: list[int], b: list[int]) -> list[int]:
-    """Subresultant polynomial remainder sequence over the integers.
-
-    The divisor choices keep intermediate coefficients polynomially bounded,
-    which is what makes weight-function reduction tractable for wide stencils.
+    Each pseudo-remainder by b is lc(b)^e times the true remainder, so its
+    sign is flipped back when lc(b) < 0 and e is odd, and it is divided by
+    its positive content.  On a square-free p and p' this is the Sturm chain
+    of p; the last entry is always gcd(a, b) up to a constant (Knuth, TAOCP
+    vol. 2, section 4.6.1, Algorithm E).
     """
-    if len(a) < len(b):
-        a, b = b, a
-    a = _primitive_ints(a)
-    b = _primitive_ints(b)
-    g = h = 1
+    seq = [a, b]
     while True:
-        delta = (len(a) - 1) - (len(b) - 1)
+        a, b = seq[-2], seq[-1]
         r = _prem(a, b)
         if not r:
-            return _primitive_ints(b)
-        if len(r) == 1:
-            return [1]
-        div = g * h**delta
-        a, b = b, [_exact_int_div(c, div) for c in r]
-        g = a[-1]
-        if delta:
-            h = _exact_int_div(g**delta, h ** (delta - 1))
+            return seq
+        if b[-1] > 0 or (len(a) - len(b)) % 2:
+            r = [-c for c in r]
+        seq.append(_positive_primitive(r))
 
 
 def poly_gcd(
     p: Union[RatPoly, Sequence[Rational]], q: Union[RatPoly, Sequence[Rational]]
 ) -> RatPoly:
-    """Monic gcd over the rationals."""
+    """Monic gcd over the rationals: the last entry of the remainder sequence."""
     p, q = as_poly(p), as_poly(q)
-    if p.is_zero and q.is_zero:
-        return RatPoly()
-    if p.is_zero:
-        return q.monic()
-    if q.is_zero:
-        return p.monic()
+    if p.is_zero or q.is_zero:
+        return (p + q).monic()
     if p.degree == 0 or q.degree == 0:
         return RatPoly.constant(1)
-    return RatPoly.of(_int_poly_gcd(_int_coeffs(p), _int_coeffs(q))).monic()
+    a, b = _int_coeffs(p), _int_coeffs(q)
+    if len(a) < len(b):
+        a, b = b, a
+    return RatPoly.of(_remainder_sequence(a, b)[-1]).monic()
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +475,6 @@ def square_free_part(p: Union[RatPoly, Sequence[Rational]]) -> RatPoly:
     p = as_poly(p)
     if p.is_zero:
         raise ValidationError("the zero polynomial has no square-free part")
-    if p.degree == 0:
-        return RatPoly.constant(1)
     g = poly_gcd(p, p.derivative())
     return (exact_div(p, g) if g.degree > 0 else p).monic()
 
@@ -507,26 +506,10 @@ def _int_sturm_chain(p: RatPoly) -> list[list[int]]:
     """Sturm chain of the square-free part of a nonconstant p, in integers.
 
     Every entry is a positive multiple of its entry in the rational chain
-    p, p', -rem(p, p'), ...: the pseudo-remainder by b is lc(b)^e times the
-    true remainder, so its sign is flipped back when lc(b) < 0 and e is
-    odd, and each entry is divided by its positive content.  Sign
-    variations, and with them root counts, are those of the rational chain.
+    p, p', -rem(p, p'), ..., so sign variations are those of that chain.
     """
     first = _int_coeffs(square_free_part(p))
-    chain = [first, _positive_primitive([m * c for m, c in enumerate(first)][1:])]
-    while True:
-        a, b = chain[-2], chain[-1]
-        r = _prem(a, b)
-        if not r:
-            return chain
-        if b[-1] > 0 or (len(a) - len(b)) % 2:
-            r = [-c for c in r]
-        chain.append(_positive_primitive(r))
-
-
-def _positive_primitive(ints: list[int]) -> list[int]:
-    content = gcd(*ints)
-    return [i // content for i in ints]
+    return _remainder_sequence(first, _positive_primitive([m * c for m, c in enumerate(first)][1:]))
 
 
 def _homogeneous_eval(coeffs: list[int], n: int, d: int) -> int:

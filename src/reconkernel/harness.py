@@ -16,7 +16,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, fsum, isfinite, ldexp, log, sinh
+from math import exp, fsum, ldexp, log, sinh
 
 from .deconv import tau
 from .exact import ValidationError, _int, poly_eval
@@ -56,6 +56,15 @@ MAX_GRID_LEVELS = 1019
 _LOG_FLOAT_MAX = log(sys.float_info.max)
 
 
+def _real(x: object, message: str, positive: bool = False) -> float:
+    """x itself when it is a finite int or float (never a bool), positive if asked."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or not abs(x) <= sys.float_info.max:
+        raise ValidationError(message)
+    if positive and not x > 0:
+        raise ValidationError(message)
+    return x
+
+
 def g_tau_float(x: float) -> float:
     """The attenuation factor (x/2)/sinh(x/2) with a series branch near 0.
 
@@ -64,6 +73,7 @@ def g_tau_float(x: float) -> float:
     is far below double precision there; the coefficients are the tau
     numbers themselves.
     """
+    _real(x, "g_tau takes a finite real argument")
     if abs(x) < G_TAU_SERIES_CUTOFF:
         x2 = x * x
         return 1.0 + x2 * (float(tau(2)) + x2 * float(tau(4)))
@@ -77,8 +87,8 @@ def exp_pair_reference(x: float, delta_x: float) -> float:
     Returns g_tau(delta_x) * e^x: the exact reconstruction of the
     exponential, hence the truth value every stencil is measured against.
     """
-    if not (isfinite(delta_x) and delta_x > 0):
-        raise ValidationError("delta_x must be positive and finite")
+    _real(x, "x must be a finite real")
+    _real(delta_x, "delta_x must be positive and finite", positive=True)
     return g_tau_float(delta_x) * exp(x)
 
 
@@ -88,8 +98,8 @@ def exp_cell_average(x: float, delta_x: float) -> float:
     Equal to (e^{x+dx/2} - e^{x-dx/2})/dx but evaluated as e^x / g_tau(dx),
     which stays fully accurate for small widths.
     """
-    if not (isfinite(delta_x) and delta_x > 0):
-        raise ValidationError("delta_x must be positive and finite")
+    _real(x, "x must be a finite real")
+    _real(delta_x, "delta_x must be positive and finite", positive=True)
     return exp(x) / g_tau_float(delta_x)
 
 
@@ -108,14 +118,14 @@ class SampleSet:
 
     def __post_init__(self) -> None:
         _stencil(self.stencil)
-        if not (isfinite(self.pivot) and isfinite(self.delta_x) and self.delta_x > 0):
-            raise ValidationError("pivot must be finite and delta_x positive")
+        _real(self.pivot, "pivot must be finite and delta_x positive")
+        _real(self.delta_x, "pivot must be finite and delta_x positive", positive=True)
         if len(self.values) != self.stencil.m + 1:
             raise ValidationError(
                 f"stencil {self.stencil} needs {self.stencil.m + 1} samples, got {len(self.values)}"
             )
-        if not all(isfinite(v) for v in self.values):
-            raise ValidationError("samples must be finite")
+        for v in self.values:
+            _real(v, "samples must be finite")
 
     @classmethod
     def from_function(cls, s: Stencil, fn, pivot: float, delta_x: float) -> "SampleSet":
@@ -248,10 +258,26 @@ def convergence_study(
 
 def _require_sample_width(s: Stencil, delta_x: float) -> None:
     _stencil(s)
-    if not (isfinite(delta_x) and delta_x > 0):
-        raise ValidationError("delta_x must be positive and finite")
+    _real(delta_x, "delta_x must be positive and finite", positive=True)
     if max(s.m_plus, 0.5) * delta_x > _LOG_FLOAT_MAX:
         raise ValidationError(f"delta_x {delta_x!r} overflows the exp samples of stencil {s}")
+
+
+def _nodal_gaps(s: Stencil, widths: list[float]) -> list[float]:
+    # the reconstructing basis at the nodes does not depend on the width
+    alpha_h = basis(s).alpha_h
+    offsets = list(s.offsets())
+    nodal = [[float(poly_eval(p, node)) for p in alpha_h] for node in offsets]
+    gaps = []
+    for dx in widths:
+        samples = [exp(l * dx) for l in offsets]
+        worst = 0.0
+        for node, weights in zip(offsets, nodal):
+            value = fsum(w * v for w, v in zip(weights, samples))
+            truth = exp_pair_reference(node * dx, dx)
+            worst = max(worst, abs(value - truth))
+        gaps.append(worst)
+    return gaps
 
 
 def non_interpolation_check(s: Stencil, delta_x: float) -> float:
@@ -265,16 +291,7 @@ def non_interpolation_check(s: Stencil, delta_x: float) -> float:
     overflow are rejected.
     """
     _require_sample_width(s, delta_x)
-    alpha_h = basis(s).alpha_h
-    offsets = list(s.offsets())
-    samples = [exp(l * delta_x) for l in offsets]
-    worst = 0.0
-    for node in offsets:
-        weights = [float(poly_eval(p, node)) for p in alpha_h]
-        value = fsum(w * v for w, v in zip(weights, samples))
-        truth = exp_pair_reference(node * delta_x, delta_x)
-        worst = max(worst, abs(value - truth))
-    return worst
+    return _nodal_gaps(s, [delta_x])[0]
 
 
 def halving_slope(s: Stencil, delta_x: float, halvings: int = 2) -> float:
@@ -289,7 +306,7 @@ def halving_slope(s: Stencil, delta_x: float, halvings: int = 2) -> float:
             f"{halvings} halvings of delta_x {delta_x!r} leave the normal float range"
         )
     widths = [ldexp(delta_x, -j) for j in range(halvings + 1)]
-    gaps = [non_interpolation_check(s, w) for w in widths]
+    gaps = _nodal_gaps(s, widths)
     if any(g <= 0.0 for g in gaps):
         raise ValidationError("mismatch vanished; slope undefined")
     return _fit_slope([log(w) for w in widths], [log(g) for g in gaps])

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import comb, factorial
 from typing import Sequence, Union
 
@@ -27,6 +26,7 @@ from .exact import (
     RatPoly,
     Rational,
     ValidationError,
+    _memo,
     _rat,
 )
 from .vandermonde import Stencil, _stencil, inv_vandermonde
@@ -131,7 +131,7 @@ class ReconstructionBasis:
         return self.alpha_h[ell + self.stencil.m_minus]
 
 
-@cache
+@_memo
 def basis(s: Stencil) -> ReconstructionBasis:
     """The alpha_f / alpha_h basis polynomials of a stencil, built once.
 
@@ -172,7 +172,7 @@ def _product_folds(factors) -> list[tuple[int, int]]:
     return out
 
 
-@cache
+@_memo
 def face_coeffs(s: Stencil) -> tuple[Fraction, ...]:
     """Reconstruction coefficients at the right cell face, xi = 1/2.
 

@@ -4,20 +4,21 @@ A stencil (m_minus, m_plus) is the contiguous cell-index window
 {-m_minus, ..., m_plus} around a pivot cell.  The Vandermonde matrix of its
 node offsets is inverted through its Lagrange cardinal polynomials: column j
 of the inverse is the node polynomial prod_k (x - x_k) divided by (x - x_j)
-and by its derivative at x_j, all in integers.  The closed form on the
-left-aligned window {0, ..., M}, from unsigned Stirling numbers of the first
-kind, stays public as an independent check.
+and by its derivative at x_j, all in integers.  The same node polynomial
+gives the error generators nu: the interpolant of x^k on the stencil is
+the remainder of x^k divided by it.  The closed form on the left-aligned
+window {0, ..., M}, from unsigned Stirling numbers of the first kind, stays
+public as an independent check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import comb, factorial
 from typing import Iterable, Sequence
 
-from .exact import Rational, ValidationError, _int, _rat
+from .exact import RatPoly, Rational, ValidationError, _int, _memo, _rat
 
 __all__ = [
     "CoeffTable",
@@ -90,8 +91,7 @@ class CoeffTable:
 
     @classmethod
     def identity(cls, n: int) -> "CoeffTable":
-        if n < 1:
-            raise ValidationError("identity size must be positive")
+        _int(n, "identity size must be a positive integer", lo=1)
         return cls.of([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @property
@@ -136,6 +136,8 @@ class CoeffTable:
 
 def comb0(n: int, k: int) -> int:
     """Binomial coefficient, zero whenever the pair is out of range."""
+    _int(n, "binomial arguments must be integers")
+    _int(k, "binomial arguments must be integers")
     if k < 0 or n < 0 or k > n:
         return 0
     return comb(n, k)
@@ -146,7 +148,7 @@ def comb0(n: int, k: int) -> int:
 _STIRLING_COLUMNS: dict[int, list[int]] = {}
 
 
-@cache
+@_memo
 def stirling1_unsigned(n: int, k: int) -> int:
     """Unsigned Stirling number of the first kind.
 
@@ -170,7 +172,7 @@ def stirling1_unsigned(n: int, k: int) -> int:
     return left[n]
 
 
-@cache
+@_memo
 def vandermonde(s: Stencil) -> CoeffTable:
     """Vandermonde matrix of the stencil's node offsets: row l holds l^j."""
     _stencil(s)
@@ -178,7 +180,7 @@ def vandermonde(s: Stencil) -> CoeffTable:
     return CoeffTable.of([[Fraction(ell**j) for j in range(m + 1)] for ell in s.offsets()])
 
 
-@cache
+@_memo
 def inv_vandermonde_left_aligned(m: int) -> CoeffTable:
     """Closed-form inverse of the Vandermonde matrix on the window {0, ..., m}.
 
@@ -203,7 +205,15 @@ def inv_vandermonde_left_aligned(m: int) -> CoeffTable:
     return CoeffTable.of(rows)
 
 
-@cache
+def _node_poly(s: Stencil) -> list[int]:
+    """Ascending integer coefficients of the monic node polynomial prod_l (x - l)."""
+    omega = [1]
+    for x in s.offsets():
+        omega = [a - x * b for a, b in zip([0] + omega, omega + [0])]
+    return omega
+
+
+@_memo
 def inv_vandermonde(s: Stencil) -> CoeffTable:
     """Exact inverse Vandermonde matrix on an arbitrary stencil.
 
@@ -216,9 +226,7 @@ def inv_vandermonde(s: Stencil) -> CoeffTable:
     """
     _stencil(s)
     m = s.m
-    master = [1]
-    for x in s.offsets():
-        master = [a - x * b for a, b in zip([0] + master, master + [0])]
+    master = _node_poly(s)
     cols = []
     for j, x in enumerate(s.offsets()):
         q = [master[-1]]
@@ -229,18 +237,19 @@ def inv_vandermonde(s: Stencil) -> CoeffTable:
     return CoeffTable.of(zip(*cols))
 
 
-def nu(s: Stencil, m: int, k: int) -> Fraction:
-    """Moment of inverse-Vandermonde row m against the k-th powers of the nodes.
+def _power_interpolant(s: Stencil, k: int) -> RatPoly:
+    """x^k mod the node polynomial: the interpolant of x^k on the stencil."""
+    return divmod(RatPoly.monomial(k), RatPoly.of(_node_poly(s)))[1]
 
-    For 0 <= m, k <= M this is delta_{mk} (exact polynomial reproduction);
-    for k > M the values are the generators of the truncation-error
-    expansions.
+
+def nu(s: Stencil, m: int, k: int) -> Fraction:
+    """Coefficient m of the interpolant of x^k on the stencil's nodes.
+
+    The interpolant is x^k mod the monic integer node polynomial, so every
+    value is an integer: delta_{mk} for k <= M (exact polynomial
+    reproduction), and for k > M the generators of the error expansions.
     """
     _stencil(s)
     _int(m, f"row index {m} outside 0..{s.m}", lo=0, hi=s.m)
     _int(k, "power must be a nonnegative integer", lo=0)
-    vinv = inv_vandermonde(s)
-    return sum(
-        (vinv[m, pos] * Fraction(ell**k) for pos, ell in enumerate(s.offsets())),
-        Fraction(0),
-    )
+    return _power_interpolant(s, k).coeff(m)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import factorial, lcm, perm
 from operator import mul
 from typing import Union
@@ -34,13 +33,14 @@ from .exact import (
     _homogeneous_eval,
     _int,
     _int_sturm_chain,
+    _memo,
     _rat,
     _sturm_variations,
     cauchy_root_bound,
     poly_eval,
 )
 from .recon import basis, face_coeffs, pair_f_from_h, pair_h_from_f
-from .vandermonde import CoeffTable, Stencil, _stencil, nu
+from .vandermonde import CoeffTable, Stencil, _power_interpolant, _stencil
 
 __all__ = [
     "ErrorExpansion",
@@ -76,14 +76,10 @@ def _require_expansion_order(s: Stencil, order: int) -> None:
 
 
 def _mu_f_any(s: Stencil, order: int) -> RatPoly:
-    # no floor check: below M+1 this assembles to the zero polynomial,
-    # which is exactly the property the tests pin down
-    m_total = s.m
-    coeffs = [Fraction(0)] * (max(order, m_total) + 1)
-    coeffs[order] -= 1
-    for m in range(m_total + 1):
-        coeffs[m] += nu(s, m, order)
-    return RatPoly.of(coeffs) * Fraction(1, factorial(order))
+    # no floor check: below M+1 x^order is its own interpolant, so this is
+    # the zero polynomial, which is exactly the property the tests pin down
+    error = _power_interpolant(s, order) - RatPoly.monomial(order)
+    return error * Fraction(1, factorial(order))
 
 
 def _mu_h_any(s: Stencil, order: int) -> RatPoly:
@@ -92,19 +88,19 @@ def _mu_h_any(s: Stencil, order: int) -> RatPoly:
     return RatPoly.of(pair_h_from_f(_mu_f_any(s, order).coeffs))
 
 
-@cache
+@_memo
 def mu_f(s: Stencil, order: int) -> RatPoly:
     """Pivot-derivative error polynomial of the interpolant.
 
     The interpolation error on the stencil is sum_{n > M} mu_f(s, n)(xi)
     dx^n f^(n) at the pivot;  mu_f(s, n) = (1/n!)(-xi^n + sum_m nu_{m,n} xi^m)
-    has degree exactly n.
+    has degree exactly n; the sum is xi^n mod the stencil's node polynomial.
     """
     _require_expansion_order(s, order)
     return _mu_f_any(s, order)
 
 
-@cache
+@_memo
 def mu_h(s: Stencil, order: int) -> RatPoly:
     """Pivot-derivative error polynomial of the reconstruction.
 
@@ -128,7 +124,7 @@ def _relocated(s: Stencil, order: int, mu, averaged: bool) -> RatPoly:
     return total
 
 
-@cache
+@_memo
 def lambda_h(s: Stencil, order: int) -> RatPoly:
     """Local-derivative error polynomial of the reconstruction.
 
@@ -146,7 +142,7 @@ def lambda_h(s: Stencil, order: int) -> RatPoly:
     return _relocated(s, order, mu_h, averaged=True)
 
 
-@cache
+@_memo
 def lambda_f(s: Stencil, order: int) -> RatPoly:
     """Local-derivative error polynomial of the interpolant.
 
@@ -200,7 +196,7 @@ _EXPANSION_BUILDERS = {
 def error_expansion(s: Stencil, kind: str, n_max: "int | None" = None) -> ErrorExpansion:
     """All error polynomials of one kind through order n_max (default M+5)."""
     _stencil(s)
-    if kind not in _EXPANSION_BUILDERS:
+    if not isinstance(kind, str) or kind not in _EXPANSION_BUILDERS:
         raise ValidationError(f"kind must be one of {sorted(_EXPANSION_BUILDERS)}")
     if n_max is None:
         n_max = s.m + DEFAULT_MARGIN
@@ -280,7 +276,7 @@ def _solve_weights(s: Stencil, big, subs) -> tuple:
     return tuple(sigma)
 
 
-@cache
+@_memo
 def _sigma_family(s: Stencil, levels: int) -> tuple[RatFunction, ...]:
     stencils = [s] + [substencil(s, levels, k) for k in range(levels + 1)]
     big, *subs = [[RatFunction.from_poly(p) for p in basis(st).alpha_h] for st in stencils]
@@ -300,7 +296,7 @@ def sigma_weights(s: Stencil, levels: int) -> WeightFamily:
     return WeightFamily(s, levels, _sigma_family(s, levels))
 
 
-@cache
+@_memo
 def sigma_values_at_half(s: Stencil, levels: int) -> tuple[Fraction, ...]:
     """The linear weights: sigma evaluated at xi = 1/2 without symbolic algebra.
 

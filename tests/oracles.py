@@ -10,9 +10,11 @@ derivatives one at a time, and the weight-functions and linear weights by
 the level-by-level convolution recurrence over one-fold splits, and the
 pole census by Sturm chains in `Fraction`s, rebuilt at every bisection step.
 The inverse Vandermonde matrix is also reached by the binomial shift of the
-Stirling closed form, and the local-derivative error polynomials by
-polynomial powers: their brackets, and the Taylor expansion of every sample
-about the evaluation point in the cardinal basis.
+Stirling closed form, the error generators nu by the moments of its rows
+against the powers of the nodes, and the local-derivative error polynomials
+by polynomial powers: their brackets, and the Taylor expansion of every
+sample about the evaluation point in the cardinal basis.  The polynomial gcd
+is also reached by the integer subresultant remainder sequence.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from reconkernel.exact import (
     RatPoly,
     Rational,
     ValidationError,
+    _int_coeffs,
+    _prem,
     _rat,
     as_poly,
     cauchy_root_bound,
@@ -38,7 +42,13 @@ from reconkernel.exact import (
     square_free_part,
 )
 from reconkernel.recon import basis, face_coeffs
-from reconkernel.vandermonde import CoeffTable, Stencil, comb0, inv_vandermonde_left_aligned
+from reconkernel.vandermonde import (
+    CoeffTable,
+    Stencil,
+    comb0,
+    inv_vandermonde,
+    inv_vandermonde_left_aligned,
+)
 from reconkernel.weno import (
     PoleReport,
     SmoothnessForm,
@@ -258,6 +268,15 @@ def inv_vandermonde_shift_oracle(s: Stencil) -> CoeffTable:
             row.append(total)
         rows.append(row)
     return CoeffTable.of(rows)
+
+
+def nu_vinv_oracle(s: Stencil, m: int, k: int) -> Fraction:
+    """Moment of inverse-Vandermonde row m against the k-th powers of the nodes."""
+    vinv = inv_vandermonde(s)
+    return sum(
+        (vinv[m, pos] * Fraction(ell**k) for pos, ell in enumerate(s.offsets())),
+        Fraction(0),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -531,3 +550,60 @@ def sigma_pole_analysis_rebuild_oracle(family: WeightFamily) -> tuple[PoleReport
             )
         reports.append(PoleReport(k, den, count, tuple(_isolate(den, -bound, bound, count))))
     return tuple(reports)
+
+
+# ---------------------------------------------------------------------------
+# gcd by the integer subresultant remainder sequence
+# ---------------------------------------------------------------------------
+
+
+def _primitive_ints(ints: list[int]) -> list[int]:
+    content = gcd(*ints)
+    sign = -1 if ints[-1] < 0 else 1
+    return [i // (sign * content) for i in ints]
+
+
+def _exact_int_div(c: int, d: int) -> int:
+    q, rem = divmod(c, d)
+    if rem:
+        raise InvariantError("subresultant division was not exact")
+    return q
+
+
+def _int_poly_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Subresultant polynomial remainder sequence over the integers.
+
+    The divisor choices keep intermediate coefficients polynomially bounded,
+    which is what makes weight-function reduction tractable for wide stencils.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    a = _primitive_ints(a)
+    b = _primitive_ints(b)
+    g = h = 1
+    while True:
+        delta = (len(a) - 1) - (len(b) - 1)
+        r = _prem(a, b)
+        if not r:
+            return _primitive_ints(b)
+        if len(r) == 1:
+            return [1]
+        div = g * h**delta
+        a, b = b, [_exact_int_div(c, div) for c in r]
+        g = a[-1]
+        if delta:
+            h = _exact_int_div(g**delta, h ** (delta - 1))
+
+
+def poly_gcd_subresultant_oracle(p, q) -> RatPoly:
+    """Monic gcd over the rationals by the subresultant remainder sequence."""
+    p, q = as_poly(p), as_poly(q)
+    if p.is_zero and q.is_zero:
+        return RatPoly()
+    if p.is_zero:
+        return q.monic()
+    if q.is_zero:
+        return p.monic()
+    if p.degree == 0 or q.degree == 0:
+        return RatPoly.constant(1)
+    return RatPoly.of(_int_poly_gcd(_int_coeffs(p), _int_coeffs(q))).monic()

@@ -238,3 +238,21 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert err == f"invariant violated: {message}\n"
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda rows: [[rows[0][0] + 1] + rows[0][1:]] + rows[1:],
+            lambda rows: [[r[1], r[0]] + r[2:] for r in rows],
+            lambda rows: [r + [0] for r in rows],
+        ],
+        ids=["entry", "swapped-columns", "extra-zero-column"],
+    )
+    def test_tampered_inverse_exits_three(self, tamper, capsys, monkeypatch):
+        right = cli.inv_vandermonde(cli.Stencil(2, 2))
+        wrong = cli.CoeffTable.of(tamper([list(r) for r in right.entries]))
+        monkeypatch.setattr(cli, "inv_vandermonde", lambda s: wrong)
+        code, out, err = run(["vandermonde", "--stencil", "2", "2"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == "invariant violated: inverse check failed for stencil (2,2)\n"

@@ -19,9 +19,20 @@ from reconkernel.exact import (
     poly_sliding_average,
     sturm_real_root_count,
 )
+import reconkernel.vandermonde as vandermonde_module
 from reconkernel import harness, weno
+from reconkernel.deconv import tau
 from reconkernel.recon import basis, face_coeffs
-from reconkernel.vandermonde import CoeffTable, Stencil, inv_vandermonde, nu, vandermonde
+from reconkernel.vandermonde import (
+    CoeffTable,
+    Stencil,
+    comb0,
+    inv_vandermonde,
+    inv_vandermonde_left_aligned,
+    nu,
+    stirling1_unsigned,
+    vandermonde,
+)
 from reconkernel.weno import (
     DEFAULT_MARGIN,
     Lambda,
@@ -321,6 +332,21 @@ class TestLambdaRoutesAgree:
             assert error_expansion(s, kind, 11) == expansion
 
 
+    def test_pivot_expansions_reach_no_inverse_vandermonde(self, monkeypatch):
+        # mu_f reads the node polynomial, and mu_h deconvolves mu_f
+        s = Stencil(3, 1)
+        expected = {kind: error_expansion(s, kind, 10) for kind in ("f", "h")}
+
+        def forbidden(*args):
+            raise AssertionError("an error expansion reached the inverse Vandermonde matrix")
+
+        monkeypatch.setattr(vandermonde_module, "inv_vandermonde", forbidden)
+        for memoized in (mu_f, mu_h):
+            memoized.cache_clear()
+        for kind, expansion in expected.items():
+            assert error_expansion(s, kind, 10) == expansion
+
+
 class TestSubstencilWeights:
     def test_substencil_layout(self):
         s = Stencil(2, 2)
@@ -576,6 +602,34 @@ def test_wrong_argument_type_is_a_validation_error(call, args):
     # weight family or a sample set
     with pytest.raises(ValidationError, match="expected a (Stencil|WeightFamily|SampleSet), got tuple"):
         call((2, 2), *args)
+
+
+S22 = Stencil(2, 2)
+BAD_VALUE_CASES = [
+    ("tau", tau, ([1],)),
+    ("basis", basis, ([1, 1],)),
+    ("mu_f", mu_f, (S22, [3])),
+    ("Lambda", Lambda, (S22, [7])),
+    ("sigma_values_at_half", sigma_values_at_half, (S22, [1])),
+    ("stirling1_unsigned", stirling1_unsigned, ([1], 1)),
+    ("inv_vandermonde_left_aligned", inv_vandermonde_left_aligned, ([2],)),
+    ("error_expansion", error_expansion, (S22, ["h"])),
+    ("non_interpolation_check", harness.non_interpolation_check, (S22, "0.1")),
+    ("SampleSet-pivot", harness.SampleSet, (S22, "0", 0.1, (1.0,) * 5)),
+    ("SampleSet-sample", harness.SampleSet, (S22, 0.0, 0.1, (1.0, 1.0, "1", 1.0, 1.0))),
+    ("exp_pair_reference", harness.exp_pair_reference, ("1", 0.1)),
+    ("g_tau_float", harness.g_tau_float, ("x",)),
+    ("CoeffTable.identity", CoeffTable.identity, ("2",)),
+    ("comb0", comb0, ("a", 1)),
+]
+
+
+@pytest.mark.parametrize("call, args", [c[1:] for c in BAD_VALUE_CASES], ids=[c[0] for c in BAD_VALUE_CASES])
+def test_unhashable_or_non_numeric_argument_is_a_validation_error(call, args):
+    # a list where a memoized call needs a hashable argument, and a string
+    # where a number belongs, fail before any arithmetic
+    with pytest.raises(ValidationError):
+        call(*args)
 
 
 class TestPositivityScan:

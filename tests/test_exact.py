@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reconkernel import exact
 from reconkernel.exact import (
     InvariantError,
     RatFunction,
@@ -21,7 +22,13 @@ from reconkernel.exact import (
     square_free_part,
     sturm_real_root_count,
 )
-from oracles import PowerSeries, _sign_variations, _sturm_chain, series_divide
+from oracles import (
+    PowerSeries,
+    _sign_variations,
+    _sturm_chain,
+    poly_gcd_subresultant_oracle,
+    series_divide,
+)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 small_polys = st.lists(rationals, max_size=7).map(RatPoly.of)
@@ -327,3 +334,55 @@ class TestIntegerSturmChain:
             b[-1] < 0 and (len(a) - len(b)) % 2 == 0 for a, b in zip(chain, chain[1:-1])
         )
         assert sturm_real_root_count(p, -3, 3) == 1
+
+
+sparse_polys = st.lists(st.sampled_from([0, 0, 0, -3, -1, 1, 2, 5]), max_size=9).map(RatPoly.of)
+
+
+class TestGcdOnTheRemainderSequence:
+    """poly_gcd against the subresultant route it replaced."""
+
+    @given(small_polys, small_polys, small_polys)
+    @settings(max_examples=200)
+    def test_matches_the_subresultant_oracle(self, a, b, common):
+        a, b = a * common, b * common
+        assert poly_gcd(a, b) == poly_gcd_subresultant_oracle(a, b)
+
+    # mostly zero coefficients, so that remainders often drop two degrees
+    @given(sparse_polys, sparse_polys, sparse_polys)
+    @settings(max_examples=200)
+    def test_matches_the_subresultant_oracle_on_sparse_polynomials(self, a, b, common):
+        a, b = a * common, b * common
+        assert poly_gcd(a, b) == poly_gcd_subresultant_oracle(a, b)
+
+    @pytest.mark.parametrize(
+        "a, b, common",
+        [
+            ([1, 0, 0, 0, 0, 0, 1], [1, 0, 0, 1], [-2, 0, 1]),
+            ([3, 5, 5, 0, 0, 1], [5, 10, 0, 0, 5], [1, 1]),
+            ([1, 0, 0, 0, 1], [0, 0, 0, 1], [1, 0, 0, -1]),
+            ([1, 0, 0, 0, 0, 0, 0, 1], [1, 0, 0, 0, 1], [2, 0, 1]),
+        ],
+    )
+    def test_remainders_that_drop_two_degrees(self, a, b, common):
+        a, b = RatPoly.of(a) * RatPoly.of(common), RatPoly.of(b) * RatPoly.of(common)
+        assert poly_gcd(a, b) == poly_gcd_subresultant_oracle(a, b) == RatPoly.of(common).monic()
+        seq = exact._remainder_sequence(exact._int_coeffs(a), exact._int_coeffs(b))
+        assert any(len(u) - len(v) >= 2 for u, v in zip(seq[1:], seq[2:]))
+
+    def test_gcd_and_sturm_chains_share_one_remainder_sequence(self, monkeypatch):
+        calls = []
+        sequence = exact._remainder_sequence
+
+        def recording(a, b):
+            calls.append((a, b))
+            return sequence(a, b)
+
+        monkeypatch.setattr(exact, "_remainder_sequence", recording)
+        assert poly_gcd(RatPoly.of([-1, 0, 1]), RatPoly.of([1, 1])) == RatPoly.of([1, 1])
+        assert calls == [([-1, 0, 1], [1, 1])]
+        calls.clear()
+        # (x - 1)^2 (x + 1): the gcd with p' for the square-free part, then
+        # the chain of x^2 - 1 and 2x
+        assert sturm_real_root_count(RatPoly.of([1, -1, -1, 1]), -2, 2) == 2
+        assert calls == [([1, -1, -1, 1], [-1, -2, 3]), ([-1, 0, 1], [0, 1])]

@@ -17,7 +17,7 @@ from reconkernel.vandermonde import (
     stirling1_unsigned,
     vandermonde,
 )
-from oracles import inv_vandermonde_shift_oracle
+from oracles import inv_vandermonde_shift_oracle, nu_vinv_oracle
 
 
 def gauss_inverse(t: CoeffTable) -> CoeffTable:
@@ -215,3 +215,20 @@ class TestNu:
     def test_rejects_non_integer_row_index(self, bad):
         with pytest.raises(ValidationError):
             nu(Stencil(1, 1), bad, 3)
+
+    @pytest.mark.parametrize("m", range(13))
+    def test_matches_the_inverse_vandermonde_moments(self, m):
+        # every window of width m whose pivot lies at most 4 cells outside it
+        for s in (Stencil(mm, m - mm) for mm in range(-4, m + 5)):
+            for k in range(m + 8):
+                got = [nu(s, row, k) for row in range(m + 1)]
+                assert got == [nu_vinv_oracle(s, row, k) for row in range(m + 1)], (s, k)
+                assert all(v.denominator == 1 for v in got), (s, k)
+
+    def test_reaches_no_inverse_vandermonde(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("nu reached the inverse Vandermonde matrix")
+
+        monkeypatch.setattr(vandermonde_module, "inv_vandermonde", forbidden)
+        s = Stencil(2, 3)
+        assert [nu(s, row, 7) for row in range(6)] == [0, 36, 0, -49, 0, 14]
