@@ -23,7 +23,6 @@ __all__ = [
     "ValidationError",
     "as_poly",
     "cauchy_root_bound",
-    "exact_div",
     "poly_definite_integral",
     "poly_eval",
     "poly_gcd",
@@ -273,16 +272,8 @@ def poly_sliding_average(p: Union[RatPoly, Sequence[Rational]]) -> RatPoly:
     return prim.taylor_shift(half) - prim.taylor_shift(-half)
 
 
-def exact_div(p: RatPoly, d: RatPoly) -> RatPoly:
-    """Quotient of an exact polynomial division; the remainder must vanish."""
-    q, r = divmod(p, d)
-    if not r.is_zero:
-        raise InvariantError("polynomial division left a remainder")
-    return q
-
-
 # ---------------------------------------------------------------------------
-# gcd and Sturm chains on one integer remainder sequence
+# integer long division, one remainder sequence for gcd and Sturm chains
 # ---------------------------------------------------------------------------
 
 
@@ -297,35 +288,42 @@ def _positive_primitive(ints: list[int]) -> list[int]:
     return [i // content for i in ints]
 
 
-def _prem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a reduced modulo b."""
-    db = len(b) - 1
-    lb = b[-1]
+def _divmod_int(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer polynomials, ascending coefficients.
+
+    Every quotient coefficient must be an integer, as it is when b is monic,
+    when b is primitive and divides a, or when a was first scaled by
+    lc(b)^(deg a - deg b + 1); anything else is an InvariantError.
+    """
+    db, lb = len(b) - 1, b[-1]
     r = list(a)
-    # one step per degree from deg a down to deg b, zero leads included
-    for k in reversed(range(len(a) - db)):
-        lead = r.pop()
-        r = [lb * c for c in r]
-        for j in range(db):
-            r[k + j] -= lead * b[j]
+    q = [0] * max(len(a) - db, 0)
+    for k in reversed(range(len(q))):
+        t, rem = divmod(r[k + db], lb)
+        if rem:
+            raise InvariantError("integer polynomial division left a fraction")
+        q[k] = t
+        r[k : k + db] = [c - t * d for c, d in zip(r[k : k + db], b)]
+    del r[db:]
     while r and r[-1] == 0:
         r.pop()
-    return r
+    return q, r
 
 
 def _remainder_sequence(a: list[int], b: list[int]) -> list[list[int]]:
     """The sequence a, b, -rem(a, b), ... in primitive integers, deg a >= deg b.
 
-    Each pseudo-remainder by b is lc(b)^e times the true remainder, so its
-    sign is flipped back when lc(b) < 0 and e is odd, and it is divided by
-    its positive content.  On a square-free p and p' this is the Sturm chain
+    Each pseudo-remainder, the remainder of lc(b)^e * a by b with
+    e = deg a - deg b + 1, is lc(b)^e times the true remainder, so its sign
+    is flipped back when lc(b) < 0 and e is odd, and it is divided by its
+    positive content.  On a square-free p and p' this is the Sturm chain
     of p; the last entry is always gcd(a, b) up to a constant (Knuth, TAOCP
     vol. 2, section 4.6.1, Algorithm E).
     """
     seq = [a, b]
     while True:
         a, b = seq[-2], seq[-1]
-        r = _prem(a, b)
+        r = _divmod_int([b[-1] ** (len(a) - len(b) + 1) * c for c in a], b)[1]
         if not r:
             return seq
         if b[-1] > 0 or (len(a) - len(b)) % 2:
@@ -342,10 +340,26 @@ def poly_gcd(
         return (p + q).monic()
     if p.degree == 0 or q.degree == 0:
         return RatPoly.constant(1)
-    a, b = _int_coeffs(p), _int_coeffs(q)
-    if len(a) < len(b):
-        a, b = b, a
+    a, b = sorted((_int_coeffs(p), _int_coeffs(q)), key=len, reverse=True)
     return RatPoly.of(_remainder_sequence(a, b)[-1]).monic()
+
+
+def _cancel(p: RatPoly, q: RatPoly) -> tuple[RatPoly, RatPoly]:
+    """p/g and q/g for g = gcd(p, q), times the one rational that makes q/g monic.
+
+    q must be nonzero, and a zero or constant p or q leaves g = 1.  The
+    quotients are taken in the primitive integers the gcd is computed on,
+    where they stay integers by Gauss's lemma.
+    """
+    if p.degree > 0 and q.degree > 0:
+        a, b = _int_coeffs(p), _int_coeffs(q)
+        g = _remainder_sequence(*sorted((a, b), key=len, reverse=True))[-1]
+        if len(g) > 1:
+            a, b = _divmod_int(a, g)[0], _divmod_int(b, g)[0]
+            scale = p.leading / (a[-1] * q.leading)
+            return RatPoly.of(c * scale for c in a), RatPoly.of(Fraction(c, b[-1]) for c in b)
+    lead = q.leading
+    return (p, q) if lead == 1 else (p * (1 / lead), q.monic())
 
 
 # ---------------------------------------------------------------------------
@@ -371,14 +385,7 @@ class RatFunction:
         if num.is_zero:
             num, den = RatPoly(), RatPoly.constant(1)
         else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = exact_div(num, g)
-                den = exact_div(den, g)
-            lead = den.leading
-            if lead != 1:
-                num = num * (1 / lead)
-                den = den.monic()
+            num, den = _cancel(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -408,9 +415,7 @@ class RatFunction:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        g = poly_gcd(self.den, other.den)
-        da = exact_div(self.den, g) if g.degree > 0 else self.den
-        db = exact_div(other.den, g) if g.degree > 0 else other.den
+        da, db = _cancel(self.den, other.den)
         return RatFunction(self.num * db + other.num * da, da * other.den)
 
     __radd__ = __add__
@@ -429,12 +434,8 @@ class RatFunction:
         if other is NotImplemented:
             return NotImplemented
         # cross-reduce first to keep the final gcd cheap
-        g1 = poly_gcd(self.num, other.den)
-        g2 = poly_gcd(other.num, self.den)
-        n1 = exact_div(self.num, g1) if g1.degree > 0 else self.num
-        d2 = exact_div(other.den, g1) if g1.degree > 0 else other.den
-        n2 = exact_div(other.num, g2) if g2.degree > 0 else other.num
-        d1 = exact_div(self.den, g2) if g2.degree > 0 else self.den
+        n1, d2 = _cancel(self.num, other.den)
+        n2, d1 = _cancel(other.num, self.den)
         return RatFunction(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
@@ -475,8 +476,7 @@ def square_free_part(p: Union[RatPoly, Sequence[Rational]]) -> RatPoly:
     p = as_poly(p)
     if p.is_zero:
         raise ValidationError("the zero polynomial has no square-free part")
-    g = poly_gcd(p, p.derivative())
-    return (exact_div(p, g) if g.degree > 0 else p).monic()
+    return _cancel(p.derivative(), p)[1]
 
 
 def sturm_real_root_count(

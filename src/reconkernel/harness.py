@@ -65,6 +65,14 @@ def _real(x: object, message: str, positive: bool = False) -> float:
     return x
 
 
+def _finite(fn, x: float) -> float:
+    """fn(x), with ValidationError where the result overflows binary64."""
+    try:
+        return fn(x)
+    except OverflowError:
+        raise ValidationError(f"{fn.__name__}({x!r}) overflows binary64") from None
+
+
 def g_tau_float(x: float) -> float:
     """The attenuation factor (x/2)/sinh(x/2) with a series branch near 0.
 
@@ -78,7 +86,7 @@ def g_tau_float(x: float) -> float:
         x2 = x * x
         return 1.0 + x2 * (float(tau(2)) + x2 * float(tau(4)))
     half = 0.5 * x
-    return half / sinh(half)
+    return half / _finite(sinh, half)
 
 
 def exp_pair_reference(x: float, delta_x: float) -> float:
@@ -89,7 +97,7 @@ def exp_pair_reference(x: float, delta_x: float) -> float:
     """
     _real(x, "x must be a finite real")
     _real(delta_x, "delta_x must be positive and finite", positive=True)
-    return g_tau_float(delta_x) * exp(x)
+    return g_tau_float(delta_x) * _finite(exp, x)
 
 
 def exp_cell_average(x: float, delta_x: float) -> float:
@@ -100,7 +108,7 @@ def exp_cell_average(x: float, delta_x: float) -> float:
     """
     _real(x, "x must be a finite real")
     _real(delta_x, "delta_x must be positive and finite", positive=True)
-    return exp(x) / g_tau_float(delta_x)
+    return _finite(exp, x) / g_tau_float(delta_x)
 
 
 @dataclass(frozen=True)

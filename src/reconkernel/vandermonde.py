@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Iterable, Sequence
 
-from .exact import RatPoly, Rational, ValidationError, _int, _memo, _rat
+from .exact import RatPoly, Rational, ValidationError, _divmod_int, _int, _memo, _rat
 
 __all__ = [
     "CoeffTable",
@@ -219,7 +219,7 @@ def inv_vandermonde(s: Stencil) -> CoeffTable:
 
     Column j holds the coefficients of the Lagrange cardinal polynomial of
     node x_j: the node polynomial P(x) = prod_k (x - x_k), built once in
-    integers, divided synthetically by (x - x_j) and then by
+    integers, divided by (x - x_j) in integer long division and then by
     P'(x_j) = (-1)^(M-j) j! (M-j)!, with one fraction per entry (the O(M^2)
     inverse of Press et al., Numerical Recipes, section 2.8).  Nodes are
     the signed offsets, so windows beside the pivot work unchanged.
@@ -229,17 +229,14 @@ def inv_vandermonde(s: Stencil) -> CoeffTable:
     master = _node_poly(s)
     cols = []
     for j, x in enumerate(s.offsets()):
-        q = [master[-1]]
-        for p in reversed(master[1:-1]):
-            q.append(p + x * q[-1])
         den = (-1) ** (m - j) * factorial(j) * factorial(m - j)
-        cols.append([Fraction(c, den) for c in reversed(q)])
+        cols.append([Fraction(c, den) for c in _divmod_int(master, [-x, 1])[0]])
     return CoeffTable.of(zip(*cols))
 
 
 def _power_interpolant(s: Stencil, k: int) -> RatPoly:
     """x^k mod the node polynomial: the interpolant of x^k on the stencil."""
-    return divmod(RatPoly.monomial(k), RatPoly.of(_node_poly(s)))[1]
+    return RatPoly.of(_divmod_int([0] * k + [1], _node_poly(s))[1])
 
 
 def nu(s: Stencil, m: int, k: int) -> Fraction:

@@ -14,7 +14,9 @@ Stirling closed form, the error generators nu by the moments of its rows
 against the powers of the nodes, and the local-derivative error polynomials
 by polynomial powers: their brackets, and the Taylor expansion of every
 sample about the evaluation point in the cardinal basis.  The polynomial gcd
-is also reached by the integer subresultant remainder sequence.
+is also reached by the integer subresultant remainder sequence, on the
+step-by-step pseudo-remainder that the package's integer long division
+replaced.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from reconkernel.exact import (
     Rational,
     ValidationError,
     _int_coeffs,
-    _prem,
     _rat,
     as_poly,
     cauchy_root_bound,
@@ -568,6 +569,22 @@ def _exact_int_div(c: int, d: int) -> int:
     if rem:
         raise InvariantError("subresultant division was not exact")
     return q
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a reduced modulo b."""
+    db = len(b) - 1
+    lb = b[-1]
+    r = list(a)
+    # one step per degree from deg a down to deg b, zero leads included
+    for k in reversed(range(len(a) - db)):
+        lead = r.pop()
+        r = [lb * c for c in r]
+        for j in range(db):
+            r[k + j] -= lead * b[j]
+    while r and r[-1] == 0:
+        r.pop()
+    return r
 
 
 def _int_poly_gcd(a: list[int], b: list[int]) -> list[int]:

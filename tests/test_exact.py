@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reconkernel import exact
+from reconkernel import cli, deconv, exact, recon, vandermonde, weno
 from reconkernel.exact import (
     InvariantError,
     RatFunction,
@@ -22,8 +22,10 @@ from reconkernel.exact import (
     square_free_part,
     sturm_real_root_count,
 )
+from reconkernel.vandermonde import Stencil
 from oracles import (
     PowerSeries,
+    _prem,
     _sign_variations,
     _sturm_chain,
     poly_gcd_subresultant_oracle,
@@ -386,3 +388,92 @@ class TestGcdOnTheRemainderSequence:
         # the chain of x^2 - 1 and 2x
         assert sturm_real_root_count(RatPoly.of([1, -1, -1, 1]), -2, 2) == 2
         assert calls == [([1, -1, -1, 1], [-1, -2, 3]), ([-1, 0, 1], [0, 1])]
+
+
+def _stripped(ints):
+    while ints and ints[-1] == 0:
+        ints = ints[:-1]
+    return ints
+
+
+# zero, constants and negative leading coefficients all occur
+int_polys = st.lists(st.integers(-30, 30), max_size=8).map(_stripped)
+nonzero_int_polys = int_polys.filter(bool)
+unit_lead_polys = st.tuples(st.lists(st.integers(-30, 30), max_size=6), st.sampled_from([1, -1])).map(
+    lambda t: t[0] + [t[1]]
+)
+
+
+class TestIntegerLongDivision:
+    """The one integer long division against the routes it replaced."""
+
+    @given(int_polys, nonzero_int_polys)
+    @settings(max_examples=300)
+    def test_scaled_remainder_is_the_pseudo_remainder(self, a, b):
+        e = max(len(a) - len(b) + 1, 0)
+        assert exact._divmod_int([b[-1] ** e * c for c in a], b)[1] == _prem(a, b)
+
+    @given(int_polys, unit_lead_polys)
+    @settings(max_examples=300)
+    def test_division_by_a_unit_lead_matches_the_rational_divmod(self, a, b):
+        q, r = exact._divmod_int(a, b)
+        assert (RatPoly.of(q), RatPoly.of(r)) == divmod(RatPoly.of(a), RatPoly.of(b))
+        assert r == _stripped(r)
+
+    @given(nonzero_int_polys, nonzero_int_polys)
+    @settings(max_examples=200)
+    def test_exact_quotient_of_a_primitive_divisor(self, a, b):
+        b = exact._positive_primitive(b)
+        product = exact._int_coeffs(RatPoly.of(a) * RatPoly.of(b))
+        assert exact._divmod_int(product, b) == (exact._positive_primitive(a), [])
+
+    def test_a_fractional_step_is_an_invariant_error(self):
+        with pytest.raises(InvariantError, match="left a fraction"):
+            exact._divmod_int([1, 0, 1], [1, 2])
+
+    @given(small_polys, small_polys.filter(lambda p: not p.is_zero), small_polys.filter(lambda p: not p.is_zero))
+    @settings(max_examples=100)
+    def test_cancel_leaves_the_reduced_ratio(self, a, b, common):
+        p, q = a * common, b * common
+        n, d = exact._cancel(p, q)
+        g = poly_gcd(p, q)
+        pg, qg = divmod(p, g)[0], divmod(q, g)[0]
+        assert n * qg == d * pg
+        assert d.leading == 1
+        if not p.is_zero:
+            assert (n, d) == (pg * (1 / qg.leading), qg.monic())
+
+    def test_no_call_reaches_the_rational_divmod(self, monkeypatch, capsys):
+        def forbidden(*args):
+            raise AssertionError("a package call reached RatPoly.__divmod__")
+
+        def run():
+            family = weno.sigma_weights(Stencil(3, 2), 3)
+            x = RatFunction(RatPoly.of([1, 2, 1]), RatPoly.of([-1, 0, 1]))
+            y = RatFunction(RatPoly.of([2, -3]), RatPoly.of([1, 0, -4]))
+            out = [
+                family,
+                weno.sigma_pole_analysis(family),
+                [weno.error_expansion(Stencil(2, 1), kind, 7) for kind in ("f", "h", "lambda-f", "lambda-h")],
+                [vandermonde.nu(Stencil(-2, 5), m, 11) for m in range(4)],
+                vandermonde.inv_vandermonde(Stencil(4, -1)),
+                recon.basis(Stencil(1, 3)),
+                square_free_part(RatPoly.of([4, -4, -3, 4, -1])),
+                [x + y, x - y, x * y, x / y],
+            ]
+            for argv in (
+                ["error-poly", "--stencil", "2", "3", "--order", "9"],
+                ["poles", "--stencil", "3", "3", "--levels", "3"],
+                ["vandermonde", "--stencil", "3", "2"],
+            ):
+                assert cli.main(argv) == 0
+                out.append(capsys.readouterr().out)
+            return out
+
+        expected = run()
+        monkeypatch.setattr(RatPoly, "__divmod__", forbidden)
+        for module in (deconv, vandermonde, recon, weno):
+            for memoized in vars(module).values():
+                if hasattr(memoized, "cache_clear"):
+                    memoized.cache_clear()
+        assert run() == expected

@@ -1,6 +1,7 @@
 """Floating-point reference fields and the convergence harness."""
 
 import math
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -72,6 +73,33 @@ class TestReferenceFields:
     def test_cell_average_matches_direct_integral(self, x, dx):
         direct = (math.exp(x + dx / 2) - math.exp(x - dx / 2)) / dx
         assert abs(exp_cell_average(x, dx) - direct) <= 1e-14 / dx * direct
+
+    @pytest.mark.parametrize(
+        "call, args",
+        [
+            (g_tau_float, (1500.0,)),
+            (g_tau_float, (-1500.0,)),
+            (exp_pair_reference, (1000.0, 0.1)),
+            (exp_cell_average, (1000.0, 0.1)),
+            (exp_cell_average, (0.0, 1500.0)),
+        ],
+        ids=["g_tau-1500", "g_tau--1500", "exp_pair_reference-x", "exp_cell_average-x", "exp_cell_average-dx"],
+    )
+    def test_overflow_is_a_validation_error(self, call, args):
+        with pytest.raises(ValidationError, match="overflows binary64"):
+            call(*args)
+
+    def test_results_at_the_overflow_edges_are_unchanged(self):
+        # sinh overflows above a half-width of about 710.48, exp above log(max float)
+        edge = 710.4758600739439
+        assert g_tau_float(2 * edge) == edge / math.sinh(edge)
+        with pytest.raises(ValidationError):
+            g_tau_float(2 * math.nextafter(edge, math.inf))
+        x = math.log(sys.float_info.max)
+        assert exp_pair_reference(x, 0.5) == g_tau_float(0.5) * math.exp(x)
+        assert exp_cell_average(x, 0.5) == math.exp(x) / g_tau_float(0.5)
+        with pytest.raises(ValidationError):
+            exp_cell_average(math.nextafter(x, math.inf), 0.5)
 
     def test_pair_reference_scales_exp(self):
         dx = 0.125

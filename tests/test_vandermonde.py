@@ -4,6 +4,8 @@ import inspect
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reconkernel import vandermonde as vandermonde_module
 from reconkernel.exact import ValidationError
@@ -44,6 +46,17 @@ def all_stencils(max_extent, max_m=None):
         for mp in range(-max_extent, max_extent + 1):
             if mm + mp >= 0 and (max_m is None or mm + mp <= max_m):
                 yield Stencil(mm, mp)
+
+
+def _windows(m: int):
+    # the pivot up to 4 cells outside the window (one-sided and
+    # pivot-excluding windows), or the window anywhere in offsets -200..200
+    left = st.one_of(st.integers(-m - 4, 4), st.integers(-200, 200 - m))
+    return left.map(lambda lo: Stencil(-lo, lo + m))
+
+
+#: Stencils with M <= 12 whose offsets lie in -200..200.
+stencils = st.integers(0, 12).flatmap(_windows)
 
 
 class TestStencil:
@@ -177,6 +190,11 @@ class TestInverseRoutesAgree:
         s = Stencil(m // 2, m - m // 2)
         assert inv_vandermonde(s) == inv_vandermonde_shift_oracle(s)
 
+    @given(stencils)
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_windows(self, s):
+        assert inv_vandermonde(s) == inv_vandermonde_shift_oracle(s)
+
     def test_inverse_reaches_no_stirling_number(self, monkeypatch):
         def forbidden(*args):
             raise AssertionError("the inverse reached the Stirling closed form")
@@ -224,6 +242,14 @@ class TestNu:
                 got = [nu(s, row, k) for row in range(m + 1)]
                 assert got == [nu_vinv_oracle(s, row, k) for row in range(m + 1)], (s, k)
                 assert all(v.denominator == 1 for v in got), (s, k)
+
+    @given(stencils, st.integers(0, 24))
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_windows_match_the_inverse_vandermonde_moments(self, s, extra):
+        k = s.m + extra
+        got = [nu(s, row, k) for row in range(s.m + 1)]
+        assert got == [nu_vinv_oracle(s, row, k) for row in range(s.m + 1)]
+        assert all(v.denominator == 1 for v in got)
 
     def test_reaches_no_inverse_vandermonde(self, monkeypatch):
         def forbidden(*args):
