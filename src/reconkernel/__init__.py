@@ -27,7 +27,6 @@ from .exact import (
     poly_definite_integral,
     poly_eval,
     poly_gcd,
-    poly_sliding_average,
     square_free_part,
     sturm_real_root_count,
 )
@@ -50,6 +49,7 @@ from .recon import (
     face_coeffs,
     pair_f_from_h,
     pair_h_from_f,
+    poly_sliding_average,
 )
 from .vandermonde import (
     CoeffTable,

@@ -13,10 +13,16 @@ import csv
 import json
 import sys
 from fractions import Fraction
-from math import lcm
 
 from .deconv import tau
-from .exact import InvariantError, RatPoly, ValidationError, _homogeneous_eval, poly_eval
+from .exact import (
+    InvariantError,
+    RatPoly,
+    ValidationError,
+    _common_denominator,
+    _homogeneous_eval,
+    poly_eval,
+)
 from .harness import MAX_GRID_LEVELS, convergence_study, halving_slope, non_interpolation_check
 from .recon import basis, face_coeffs
 from .vandermonde import CoeffTable, Stencil, inv_vandermonde, vandermonde
@@ -109,8 +115,7 @@ def _check_inverse(s: Stencil, vi: CoeffTable) -> None:
     nodes = list(s.offsets())
     ok = vi.rows == vi.cols == len(nodes)
     for j, col in enumerate(zip(*vi.entries)):
-        den = lcm(*(c.denominator for c in col))
-        nums = [c.numerator * (den // c.denominator) for c in col]
+        nums, den = _common_denominator(col)
         ok = ok and all(_homogeneous_eval(nums, x, 1) == den * (i == j) for i, x in enumerate(nodes))
     if not ok:
         raise InvariantError(f"inverse check failed for stencil {s}")
@@ -158,8 +163,7 @@ def _check_face_exactness(s: Stencil, fc: tuple[Fraction, ...]) -> None:
     # n_l = c_l D; M+1 integer equations in O(M^2) products.
     if len(fc) != s.m + 1:
         raise InvariantError(f"stencil {s} has {s.m + 1} cells but {len(fc)} face coefficients")
-    den = lcm(*(c.denominator for c in fc))
-    nums = [c.numerator * (den // c.denominator) for c in fc]
+    nums, den = _common_denominator(fc)
     ends = [(2 * l + 1, 2 * l - 1) for l in s.offsets()]
     powers = ends
     for d in range(s.m + 1):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, wraps
+from functools import lru_cache, wraps
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
@@ -26,7 +26,6 @@ __all__ = [
     "poly_definite_integral",
     "poly_eval",
     "poly_gcd",
-    "poly_sliding_average",
     "sturm_real_root_count",
 ]
 
@@ -69,8 +68,12 @@ def _int(x: object, message: str, lo: "int | None" = None, hi: "int | None" = No
 
 
 def _memo(fn):
-    """`functools.cache` of fn, with ValidationError for an unhashable argument."""
-    cached = cache(fn)
+    """Unbounded typed `functools.lru_cache` of fn, with ValidationError for an unhashable argument.
+
+    Typed keys keep True, 1 and Fraction(1) apart, so a call that fn refuses
+    never finds the cached result of one it accepted.
+    """
+    cached = lru_cache(maxsize=None, typed=True)(fn)
 
     @wraps(fn)
     def call(*args):
@@ -193,14 +196,13 @@ class RatPoly:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        d, lc = other.degree, other.leading
-        r = list(self.coeffs)
-        q = [Fraction(0)] * max(len(r) - d, 0)
-        for k in reversed(range(len(q))):
-            q[k] = t = r[k + d] / lc
-            for i, c in enumerate(other.coeffs):
-                r[k + i] -= t * c
-        return RatPoly(tuple(q)), RatPoly(tuple(r[:d]))
+        # lc(b)^e a = q b + r in integers, for self = a/da and other = b/db
+        a, da = _common_denominator(self.coeffs)
+        b, db = _common_denominator(other.coeffs)
+        scale = b[-1] ** max(len(a) - len(b) + 1, 0)
+        q, r = _divmod_int([scale * c for c in a], b)
+        da *= scale
+        return RatPoly.of(Fraction(c * db, da) for c in q), RatPoly.of(Fraction(c, da) for c in r)
 
     def derivative(self) -> "RatPoly":
         return RatPoly(tuple(m * self.coeffs[m] for m in range(1, len(self.coeffs))))
@@ -208,14 +210,6 @@ class RatPoly:
     def antiderivative(self) -> "RatPoly":
         """The primitive with zero constant term."""
         return RatPoly((Fraction(0),) + tuple(c / (m + 1) for m, c in enumerate(self.coeffs)))
-
-    def taylor_shift(self, c: Rational) -> "RatPoly":
-        """p(x + c), expanded by Horner's rule in (x + c)."""
-        shift = RatPoly((_rat(c), Fraction(1)))
-        result = RatPoly()
-        for coeff in reversed(self.coeffs):
-            result = result * shift + RatPoly.constant(coeff)
-        return result
 
     def monic(self) -> "RatPoly":
         if self.is_zero:
@@ -245,13 +239,11 @@ def as_poly(p: Union[RatPoly, Sequence[Rational]]) -> RatPoly:
 
 
 def poly_eval(p: Union[RatPoly, Sequence[Rational]], x: Rational) -> Fraction:
-    """Horner evaluation at a rational point, exact."""
+    """Exact value at a rational point n/d: one integer Horner pass over the numerators."""
     p = as_poly(p)
-    x = _rat(x)
-    acc = Fraction(0)
-    for c in reversed(p.coeffs):
-        acc = acc * x + c
-    return acc
+    n, d = _rat(x).as_integer_ratio()
+    nums, den = _common_denominator(p.coeffs)
+    return Fraction(_homogeneous_eval(nums, n, d), den * d ** max(p.degree, 0))
 
 
 def poly_definite_integral(
@@ -262,25 +254,20 @@ def poly_definite_integral(
     return poly_eval(prim, b) - poly_eval(prim, a)
 
 
-def poly_sliding_average(p: Union[RatPoly, Sequence[Rational]]) -> RatPoly:
-    """The unit-width sliding average q(x) = integral of p over [x-1/2, x+1/2].
-
-    Degree and leading coefficient are preserved for every nonzero p.
-    """
-    prim = as_poly(p).antiderivative()
-    half = Fraction(1, 2)
-    return prim.taylor_shift(half) - prim.taylor_shift(-half)
-
-
 # ---------------------------------------------------------------------------
 # integer long division, one remainder sequence for gcd and Sturm chains
 # ---------------------------------------------------------------------------
 
 
+def _common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The values as integer numerators over their least common denominator."""
+    den = lcm(*(c.denominator for c in values))
+    return [c.numerator * (den // c.denominator) for c in values], den
+
+
 def _int_coeffs(p: RatPoly) -> list[int]:
     """Primitive integer coefficients of a positive rational multiple of p."""
-    den = lcm(*(c.denominator for c in p.coeffs))
-    return _positive_primitive([int(c * den) for c in p.coeffs])
+    return _positive_primitive(_common_denominator(p.coeffs)[0])
 
 
 def _positive_primitive(ints: list[int]) -> list[int]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, fsum, ldexp, log, sinh
+from math import exp, fsum, isfinite, ldexp, log, sinh
 
 from .deconv import tau
 from .exact import ValidationError, _int, poly_eval
@@ -104,11 +104,16 @@ def exp_cell_average(x: float, delta_x: float) -> float:
     """Width-delta_x sliding average of exp at x, in cancellation-free form.
 
     Equal to (e^{x+dx/2} - e^{x-dx/2})/dx but evaluated as e^x / g_tau(dx),
-    which stays fully accurate for small widths.
+    which stays fully accurate for small widths.  A quotient past the
+    largest binary64 number is a ValidationError, as float division does
+    not raise.
     """
     _real(x, "x must be a finite real")
     _real(delta_x, "delta_x must be positive and finite", positive=True)
-    return _finite(exp, x) / g_tau_float(delta_x)
+    avg = _finite(exp, x) / g_tau_float(delta_x)
+    if not isfinite(avg):
+        raise ValidationError(f"exp_cell_average({x!r}, {delta_x!r}) overflows binary64")
+    return avg
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from .exact import (
     ValidationError,
     _memo,
     _rat,
+    as_poly,
 )
 from .vandermonde import Stencil, _stencil, inv_vandermonde
 
@@ -38,6 +39,7 @@ __all__ = [
     "face_coeffs",
     "pair_f_from_h",
     "pair_h_from_f",
+    "poly_sliding_average",
 ]
 
 CoeffList = Union[Sequence[Rational], "tuple[Fraction, ...]"]
@@ -79,6 +81,15 @@ def pair_h_from_f(c_f: CoeffList) -> list[Fraction]:
     c_h[m] = (1/m!) sum_k tau_{2k} c_f[m+2k] (m+2k)!.
     """
     return _pair_map(c_f, lambda k: tau(2 * k))
+
+
+def poly_sliding_average(p: Union[RatPoly, Sequence[Rational]]) -> RatPoly:
+    """The unit-width sliding average q(x) = integral of p over [x-1/2, x+1/2].
+
+    It is `pair_f_from_h` on the coefficients, so degree and leading
+    coefficient are preserved for every nonzero p.
+    """
+    return RatPoly.of(pair_f_from_h(as_poly(p).coeffs))
 
 
 @dataclass(frozen=True)

@@ -109,19 +109,6 @@ class CoeffTable:
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.entries[i]
 
-    def matmul(self, other: "CoeffTable") -> "CoeffTable":
-        if self.cols != other.rows:
-            raise ValidationError("matrix shapes do not compose")
-        out = []
-        for i in range(self.rows):
-            out.append(
-                [
-                    sum((self.entries[i][k] * other.entries[k][j] for k in range(self.cols)), Fraction(0))
-                    for j in range(other.cols)
-                ]
-            )
-        return CoeffTable.of(out)
-
     @property
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and all(

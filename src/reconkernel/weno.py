@@ -30,6 +30,7 @@ from .exact import (
     RatPoly,
     Rational,
     ValidationError,
+    _common_denominator,
     _homogeneous_eval,
     _int,
     _int_sturm_chain,
@@ -277,12 +278,6 @@ def _solve_weights(s: Stencil, big, subs) -> tuple:
 
 
 @_memo
-def _sigma_family(s: Stencil, levels: int) -> tuple[RatFunction, ...]:
-    stencils = [s] + [substencil(s, levels, k) for k in range(levels + 1)]
-    big, *subs = [[RatFunction.from_poly(p) for p in basis(st).alpha_h] for st in stencils]
-    return _solve_weights(s, big, subs)
-
-
 def sigma_weights(s: Stencil, levels: int) -> WeightFamily:
     """Weight-functions sigma of the K-fold subdivision, fully reduced.
 
@@ -293,7 +288,9 @@ def sigma_weights(s: Stencil, levels: int) -> WeightFamily:
     stencils with M >= 2 and 1 <= levels <= M-1.
     """
     _check_subdivision(s, levels)
-    return WeightFamily(s, levels, _sigma_family(s, levels))
+    stencils = [s] + [substencil(s, levels, k) for k in range(levels + 1)]
+    big, *subs = [[RatFunction.from_poly(p) for p in basis(st).alpha_h] for st in stencils]
+    return WeightFamily(s, levels, _solve_weights(s, big, subs))
 
 
 @_memo
@@ -471,12 +468,12 @@ def beta_form(s: Stencil, face_centered: bool = False) -> SmoothnessForm:
         raise ValidationError("smoothness forms need at least two cells")
     # the interval is [lo, hi] / scale with integer ends
     lo, hi, scale = (0, 1, 1) if face_centered else (-1, 1, 2)
-    alpha = basis(s).alpha_h
-    den_a = lcm(*(c.denominator for p in alpha for c in p.coeffs))
-    cols = [[c.numerator * (den_a // c.denominator) for c in p.coeffs] for p in alpha]
+    # basis checks that every alpha_h,l has degree M: n coefficients each
+    n = s.m + 1
+    nums, den_a = _common_denominator([c for p in basis(s).alpha_h for c in p.coeffs])
+    cols = [nums[i : i + n] for i in range(0, len(nums), n)]
     top = 2 * s.m - 1
     den_h = lcm(*range(1, top + 1)) * scale**top
-    n = s.m + 1
     gram = [[0] * n for _ in range(n)]
     for a in range(1, n):
         for b in range(1, n):

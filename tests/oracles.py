@@ -9,6 +9,10 @@ products, and the smoothness forms by integrating products of the basis
 derivatives one at a time, and the weight-functions and linear weights by
 the level-by-level convolution recurrence over one-fold splits, and the
 pole census by Sturm chains in `Fraction`s, rebuilt at every bisection step.
+Polynomial division, evaluation and the sliding average are also reached
+by the `Fraction` loops that the package's integer kernels replaced: the
+elimination loop, Horner's rule, and the antiderivative shifted by +-1/2,
+and matrix products by the dense `Fraction` sum.
 The inverse Vandermonde matrix is also reached by the binomial shift of the
 Stirling closed form, the error generators nu by the moments of its rows
 against the powers of the nodes, and the local-derivative error polynomials
@@ -39,7 +43,6 @@ from reconkernel.exact import (
     as_poly,
     cauchy_root_bound,
     poly_definite_integral,
-    poly_eval,
     square_free_part,
 )
 from reconkernel.recon import basis, face_coeffs
@@ -58,6 +61,66 @@ from reconkernel.weno import (
     mu_h,
     substencil,
 )
+
+
+# ---------------------------------------------------------------------------
+# polynomial and matrix arithmetic in Fraction loops
+# ---------------------------------------------------------------------------
+
+
+def poly_divmod_oracle(a: RatPoly, b: RatPoly) -> tuple[RatPoly, RatPoly]:
+    """Quotient and remainder by the rational elimination loop."""
+    if b.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    d, lc = b.degree, b.leading
+    r = list(a.coeffs)
+    q = [Fraction(0)] * max(len(r) - d, 0)
+    for k in reversed(range(len(q))):
+        q[k] = t = r[k + d] / lc
+        for i, c in enumerate(b.coeffs):
+            r[k + i] -= t * c
+    return RatPoly(tuple(q)), RatPoly(tuple(r[:d]))
+
+
+def poly_eval_oracle(p, x: Rational) -> Fraction:
+    """Horner evaluation at a rational point, in Fractions."""
+    p = as_poly(p)
+    x = _rat(x)
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def taylor_shift(p: RatPoly, c: Rational) -> RatPoly:
+    """p(x + c), expanded by Horner's rule in (x + c)."""
+    shift = RatPoly((_rat(c), Fraction(1)))
+    result = RatPoly()
+    for coeff in reversed(p.coeffs):
+        result = result * shift + RatPoly.constant(coeff)
+    return result
+
+
+def poly_sliding_average_oracle(p) -> RatPoly:
+    """The sliding average as the antiderivative shifted by +1/2 minus -1/2."""
+    prim = as_poly(p).antiderivative()
+    half = Fraction(1, 2)
+    return taylor_shift(prim, half) - taylor_shift(prim, -half)
+
+
+def matmul(a: CoeffTable, b: CoeffTable) -> CoeffTable:
+    """The exact matrix product a b; ValidationError when the shapes do not compose."""
+    if a.cols != b.rows:
+        raise ValidationError("matrix shapes do not compose")
+    out = []
+    for i in range(a.rows):
+        out.append(
+            [
+                sum((a.entries[i][k] * b.entries[k][j] for k in range(a.cols)), Fraction(0))
+                for j in range(b.cols)
+            ]
+        )
+    return CoeffTable.of(out)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +558,7 @@ def _primitive_scaled(p: RatPoly) -> RatPoly:
 def _sturm_chain(p: RatPoly) -> list[RatPoly]:
     chain = [p, p.derivative()]
     while True:
-        _, r = divmod(chain[-2], chain[-1])
+        _, r = poly_divmod_oracle(chain[-2], chain[-1])
         if r.is_zero:
             return chain
         chain.append(_primitive_scaled(-r))
@@ -504,7 +567,7 @@ def _sturm_chain(p: RatPoly) -> list[RatPoly]:
 def _sign_variations(chain: list[RatPoly], x: Fraction) -> int:
     signs = []
     for s in chain:
-        v = poly_eval(s, x)
+        v = poly_eval_oracle(s, x)
         if v != 0:
             signs.append(v > 0)
     return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
@@ -536,7 +599,7 @@ def sigma_pole_analysis_rebuild_oracle(family: WeightFamily) -> tuple[PoleReport
     for k, w in enumerate(family.weights):
         den = w.den
         for n in range(-m_total - 2, m_total + 3):
-            if poly_eval(den, Fraction(2 * n + 1, 2)) == 0:
+            if poly_eval_oracle(den, Fraction(2 * n + 1, 2)) == 0:
                 raise InvariantError(
                     f"weight {k} of {family.stencil} has a pole at the cell interface {n}+1/2"
                 )

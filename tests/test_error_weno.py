@@ -16,13 +16,12 @@ from reconkernel.exact import (
     ValidationError,
     poly_eval,
     poly_gcd,
-    poly_sliding_average,
     sturm_real_root_count,
 )
 import reconkernel.vandermonde as vandermonde_module
 from reconkernel import harness, weno
 from reconkernel.deconv import tau
-from reconkernel.recon import basis, face_coeffs
+from reconkernel.recon import basis, face_coeffs, poly_sliding_average
 from reconkernel.vandermonde import (
     CoeffTable,
     Stencil,
@@ -376,6 +375,24 @@ class TestSubstencilWeights:
             sigma_weights(Stencil(2, 2), 4)
         with pytest.raises(ValidationError):
             sigma_weights(Stencil(2, 2), True)
+
+    def test_a_repeated_call_returns_the_checked_family(self, monkeypatch):
+        s = Stencil(3, 1)
+        first = sigma_weights(s, 2)
+        checks = []
+        check = WeightFamily.__post_init__
+        monkeypatch.setattr(WeightFamily, "__post_init__", lambda self: checks.append(check(self)))
+        assert sigma_weights(s, 2) is first
+        assert checks == []
+
+    @pytest.mark.parametrize("memo", [sigma_weights, sigma_values_at_half], ids=lambda f: f.__name__)
+    def test_the_memo_caches_no_error_and_no_alias(self, memo):
+        s = Stencil(2, 3)
+        memo(s, 1)
+        for bad in (True, F(1), 0):
+            for _ in range(2):
+                with pytest.raises(ValidationError):
+                    memo(s, bad)
 
     def test_two_cell_split_of_the_centered_stencil(self):
         assert sigma_values_at_half(Stencil(1, 1), 1) == (F(1, 3), F(2, 3))

@@ -16,20 +16,24 @@ from reconkernel.exact import (
     poly_definite_integral,
     poly_eval,
     poly_gcd,
-    poly_sliding_average,
     _int_sturm_chain,
     _sturm_variations,
     square_free_part,
     sturm_real_root_count,
 )
+from reconkernel.recon import poly_sliding_average
 from reconkernel.vandermonde import Stencil
 from oracles import (
     PowerSeries,
     _prem,
     _sign_variations,
     _sturm_chain,
+    poly_divmod_oracle,
+    poly_eval_oracle,
     poly_gcd_subresultant_oracle,
+    poly_sliding_average_oracle,
     series_divide,
+    taylor_shift,
 )
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
@@ -83,7 +87,7 @@ class TestRatPoly:
 
     def test_taylor_shift(self):
         p = RatPoly.of([0, 0, 1])
-        shifted = p.taylor_shift(1)
+        shifted = taylor_shift(p, 1)
         assert shifted == RatPoly.of([1, 2, 1])
         assert shifted(0) == p(1)
 
@@ -93,7 +97,7 @@ class TestRatPoly:
 
     @given(small_polys, rationals)
     def test_shift_matches_pointwise(self, p, c):
-        assert p.taylor_shift(c)(0) == p(c)
+        assert taylor_shift(p, c)(0) == p(c)
 
 
 class TestCalculus:
@@ -417,7 +421,7 @@ class TestIntegerLongDivision:
     @settings(max_examples=300)
     def test_division_by_a_unit_lead_matches_the_rational_divmod(self, a, b):
         q, r = exact._divmod_int(a, b)
-        assert (RatPoly.of(q), RatPoly.of(r)) == divmod(RatPoly.of(a), RatPoly.of(b))
+        assert (RatPoly.of(q), RatPoly.of(r)) == poly_divmod_oracle(RatPoly.of(a), RatPoly.of(b))
         assert r == _stripped(r)
 
     @given(nonzero_int_polys, nonzero_int_polys)
@@ -437,7 +441,7 @@ class TestIntegerLongDivision:
         p, q = a * common, b * common
         n, d = exact._cancel(p, q)
         g = poly_gcd(p, q)
-        pg, qg = divmod(p, g)[0], divmod(q, g)[0]
+        pg, qg = poly_divmod_oracle(p, g)[0], poly_divmod_oracle(q, g)[0]
         assert n * qg == d * pg
         assert d.leading == 1
         if not p.is_zero:
@@ -477,3 +481,75 @@ class TestIntegerLongDivision:
                 if hasattr(memoized, "cache_clear"):
                     memoized.cache_clear()
         assert run() == expected
+
+
+# dividends and divisors with rational, non-monic leads; the zero polynomial occurs
+wide_polys = st.lists(rationals, max_size=10).map(RatPoly.of)
+nonzero_polys = small_polys.filter(lambda p: not p.is_zero)
+points = st.one_of(st.integers(-50, 50), rationals)
+
+
+class TestIntegerKernels:
+    """Division and evaluation on the integer kernels, against the Fraction loops they replaced."""
+
+    def test_divmod_runs_the_integer_long_division(self, monkeypatch):
+        calls = []
+        divide = exact._divmod_int
+
+        def recording(a, b):
+            calls.append((a, b))
+            return divide(a, b)
+
+        monkeypatch.setattr(exact, "_divmod_int", recording)
+        a, b = RatPoly.of([1, 0, F(1, 2)]), RatPoly.of([1, F(2, 3)])
+        # 2a and 3b in integers, 2a scaled by lc(3b)^2 = 4
+        assert divmod(a, b) == poly_divmod_oracle(a, b)
+        assert calls == [([8, 0, 4], [3, 2])]
+
+    def test_poly_eval_runs_the_homogeneous_integer_horner(self, monkeypatch):
+        calls = []
+        evaluate = exact._homogeneous_eval
+
+        def recording(coeffs, n, d):
+            calls.append((coeffs, n, d))
+            return evaluate(coeffs, n, d)
+
+        monkeypatch.setattr(exact, "_homogeneous_eval", recording)
+        assert poly_eval(RatPoly.of([F(1, 2), 3]), F(2, 5)) == F(17, 10)
+        assert calls == [([1, 6], 2, 5)]
+
+    @given(wide_polys, nonzero_polys)
+    @settings(max_examples=300)
+    def test_divmod_matches_the_elimination_loop(self, a, b):
+        q, r = divmod(a, b)
+        assert (q, r) == poly_divmod_oracle(a, b)
+        assert q * b + r == a and r.degree < b.degree
+
+    def test_divmod_edge_cases(self):
+        b = RatPoly.of([F(-3, 4), 0, F(5, 7)])
+        assert divmod(RatPoly(), b) == (RatPoly(), RatPoly()) == poly_divmod_oracle(RatPoly(), b)
+        low = RatPoly.of([F(1, 3), F(-2, 9)])
+        assert divmod(low, b) == (RatPoly(), low) == poly_divmod_oracle(low, b)
+        assert divmod(b, RatPoly.constant(F(-2, 3))) == (b * F(-3, 2), RatPoly())
+        for divide in (divmod, poly_divmod_oracle):
+            with pytest.raises(ZeroDivisionError):
+                divide(b, RatPoly())
+
+    @given(wide_polys, points)
+    @settings(max_examples=300)
+    def test_poly_eval_matches_fraction_horner(self, p, x):
+        assert poly_eval(p, x) == poly_eval_oracle(p, x)
+
+    def test_poly_eval_of_the_zero_polynomial_and_constants(self):
+        assert poly_eval(RatPoly(), F(7, 3)) == 0 == poly_eval([], 5)
+        assert poly_eval([F(-5, 6)], F(1, 9)) == F(-5, 6)
+        assert poly_eval([0, 0, 1], F(-3, 2)) == F(9, 4) == poly_eval_oracle([0, 0, 1], F(-3, 2))
+
+    def test_poly_eval_refuses_floats(self):
+        with pytest.raises(ValidationError):
+            poly_eval([1, 2], 0.5)
+
+    @given(st.lists(rationals, max_size=25).map(RatPoly.of))
+    @settings(max_examples=200)
+    def test_sliding_average_matches_the_shifted_antiderivative(self, p):
+        assert poly_sliding_average(p) == poly_sliding_average_oracle(p)

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from reconkernel.exact import RatPoly, ValidationError, poly_eval, poly_sliding_average
+from reconkernel.exact import RatPoly, ValidationError, poly_eval
 from reconkernel.harness import (
     G_TAU_SERIES_CUTOFF,
     MAX_GRID_LEVELS,
@@ -22,7 +22,7 @@ from reconkernel.harness import (
     non_interpolation_check,
     reconstruct_face,
 )
-from reconkernel.recon import basis
+from reconkernel.recon import basis, poly_sliding_average
 from reconkernel.vandermonde import Stencil
 
 
@@ -82,8 +82,16 @@ class TestReferenceFields:
             (exp_pair_reference, (1000.0, 0.1)),
             (exp_cell_average, (1000.0, 0.1)),
             (exp_cell_average, (0.0, 1500.0)),
+            (exp_cell_average, (709.0, 100.0)),
         ],
-        ids=["g_tau-1500", "g_tau--1500", "exp_pair_reference-x", "exp_cell_average-x", "exp_cell_average-dx"],
+        ids=[
+            "g_tau-1500",
+            "g_tau--1500",
+            "exp_pair_reference-x",
+            "exp_cell_average-x",
+            "exp_cell_average-dx",
+            "exp_cell_average-quotient",
+        ],
     )
     def test_overflow_is_a_validation_error(self, call, args):
         with pytest.raises(ValidationError, match="overflows binary64"):
@@ -97,9 +105,17 @@ class TestReferenceFields:
             g_tau_float(2 * math.nextafter(edge, math.inf))
         x = math.log(sys.float_info.max)
         assert exp_pair_reference(x, 0.5) == g_tau_float(0.5) * math.exp(x)
-        assert exp_cell_average(x, 0.5) == math.exp(x) / g_tau_float(0.5)
+        # the quotient e^x / g_tau(0.5) passes the largest float before e^x does
+        assert exp_cell_average(709.77, 0.5) == math.exp(709.77) / g_tau_float(0.5)
+        assert math.isinf(math.exp(x) / g_tau_float(0.5))
+        with pytest.raises(ValidationError):
+            exp_cell_average(x, 0.5)
         with pytest.raises(ValidationError):
             exp_cell_average(math.nextafter(x, math.inf), 0.5)
+
+    def test_finite_cell_averages_are_unchanged(self):
+        assert exp_cell_average(700.0, 1.0) == 1.0570231248073765e304
+        assert exp_cell_average(650.0, 40.0) == math.exp(650.0) / g_tau_float(40.0)
 
     def test_pair_reference_scales_exp(self):
         dx = 0.125

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reconkernel import harness, recon, weno
+import reconkernel
+from reconkernel import exact, harness, recon, weno
 from reconkernel.exact import (
     RatPoly,
     ValidationError,
     cauchy_root_bound,
     poly_eval,
-    poly_sliding_average,
     sturm_real_root_count,
 )
 from reconkernel.recon import (
@@ -21,6 +21,7 @@ from reconkernel.recon import (
     face_coeffs,
     pair_f_from_h,
     pair_h_from_f,
+    poly_sliding_average,
 )
 from reconkernel.vandermonde import CoeffTable, Stencil
 from reconkernel.cli import main
@@ -28,6 +29,8 @@ from oracles import (
     deconv_matrix,
     deconv_matrix_inverse,
     face_coeffs_shu_oracle,
+    matmul,
+    poly_sliding_average_oracle,
     unitriangular_inverse,
 )
 
@@ -64,7 +67,7 @@ class TestPairMaps:
 
     def test_matches_symbolic_sliding_average(self):
         h = RatPoly.of([3, -2, F(1, 3), 5, 0, 1])
-        assert RatPoly.of(pair_f_from_h(h.coeffs)) == poly_sliding_average(h)
+        assert RatPoly.of(pair_f_from_h(h.coeffs)) == poly_sliding_average_oracle(h)
 
     def test_rejects_ratpoly_input(self):
         with pytest.raises(ValidationError):
@@ -92,6 +95,30 @@ class TestPairMaps:
         assert pair_h_from_f(pair_f_from_h(c)) == c
         assert pair_f_from_h(pair_h_from_f(c)) == c
 
+    def test_sliding_average_runs_the_forward_pair_map(self, monkeypatch):
+        pair_map = recon._pair_map
+        seen = []
+
+        def recording(c, weight):
+            seen.append((c, weight(1)))
+            return pair_map(c, weight)
+
+        monkeypatch.setattr(recon, "_pair_map", recording)
+        h = RatPoly.of([0, 0, 1])
+        assert recon.poly_sliding_average(h) == RatPoly.of([F(1, 12), 0, 1])
+        assert seen == [(h.coeffs, F(1, 24))]
+
+    def test_sliding_average_of_degree_24(self):
+        h = RatPoly.of([F((-1) ** m * (m + 1), m % 7 + 1) for m in range(25)])
+        assert h.degree == 24
+        assert recon.poly_sliding_average(h) == poly_sliding_average_oracle(h)
+
+    def test_package_surface(self):
+        for name in reconkernel.__all__:
+            assert getattr(reconkernel, name) is not None, name
+        assert reconkernel.poly_sliding_average is recon.poly_sliding_average
+        assert "poly_sliding_average" not in exact.__all__
+
 
 class TestPairCoeffs:
     def test_construction_from_either_side(self):
@@ -114,7 +141,7 @@ class TestMatrixRoute:
     def test_closed_form_inverse(self, m):
         u = deconv_matrix(m)
         n = u.rows
-        assert u.matmul(deconv_matrix_inverse(m)) == CoeffTable.identity(n)
+        assert matmul(u, deconv_matrix_inverse(m)) == CoeffTable.identity(n)
         assert unitriangular_inverse(u) == deconv_matrix_inverse(m)
 
     @staticmethod
@@ -144,8 +171,8 @@ class TestUnitriangularInverse:
     def test_small_case(self):
         u = CoeffTable.of([[1, 2, 3], [0, 1, 4], [0, 0, 1]])
         inv = unitriangular_inverse(u)
-        assert u.matmul(inv) == CoeffTable.identity(3)
-        assert inv.matmul(u) == CoeffTable.identity(3)
+        assert matmul(u, inv) == CoeffTable.identity(3)
+        assert matmul(inv, u) == CoeffTable.identity(3)
 
     def test_rejects_non_unit_diagonal(self):
         with pytest.raises(ValidationError):

@@ -1,6 +1,7 @@
 """sympy as a third route to the face coefficients, the tau numbers, the
-inverse Vandermonde matrices, the smoothness forms, the linear weights, the
-polynomial gcd and the Sturm census of the weight denominators.
+inverse Vandermonde matrices, the face error constants Lambda, the
+smoothness forms, the linear weights, the polynomial gcd and the Sturm
+census of the weight denominators.
 
 Runs only where sympy is installed; it is not a dependency of the package.
 """
@@ -18,6 +19,7 @@ from reconkernel.exact import RatPoly, poly_gcd, sturm_real_root_count
 from reconkernel.recon import face_coeffs
 from reconkernel.vandermonde import Stencil, inv_vandermonde
 from reconkernel.weno import (
+    Lambda,
     beta_form,
     sigma_pole_analysis,
     sigma_values_at_half,
@@ -81,6 +83,26 @@ def test_inv_vandermonde_is_the_sympy_inverse(s):
     nodes = sympy.Matrix([[l**j for j in range(s.m + 1)] for l in s.offsets()])
     expected = tuple(tuple(as_fraction(c) for c in row) for row in nodes.inv().tolist())
     assert inv_vandermonde(s).entries == expected
+
+
+@pytest.mark.parametrize(
+    "s,order,expected",
+    [
+        (Stencil(1, 1), 3, F(1, 12)),
+        (Stencil(0, 0), 1, F(-1, 2)),
+        (Stencil(0, 1), 2, F(1, 6)),
+    ],
+    ids=["(1,1)-order3", "(0,0)-order1", "(0,1)-order2"],
+)
+def test_face_error_constant_reconstructs_the_shifted_power(s, order, expected):
+    # h = (x - 1/2)^n / n! has every derivative but the n-th zero at the
+    # face, so reconstructing it from its exact cell averages, with face
+    # coefficients from the moment system, misses h(1/2) = 0 by Lambda
+    h = (X - HALF) ** order / sympy.factorial(order)
+    primitive = sympy.integrate(h, X)
+    averages = [primitive.subs(X, l + HALF) - primitive.subs(X, l - HALF) for l in s.offsets()]
+    value = sum(as_rational(c) * a for c, a in zip(moment_solution(s), averages)) - h.subs(X, HALF)
+    assert Lambda(s, order) == as_fraction(value) == expected
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ from reconkernel.vandermonde import (
     stirling1_unsigned,
     vandermonde,
 )
-from oracles import inv_vandermonde_shift_oracle, nu_vinv_oracle
+from oracles import inv_vandermonde_shift_oracle, matmul, nu_vinv_oracle
 
 
 def gauss_inverse(t: CoeffTable) -> CoeffTable:
@@ -97,12 +97,12 @@ class TestCoeffTable:
 
     def test_matmul_identity(self):
         t = CoeffTable.of([[1, 2], [3, 4]])
-        assert t.matmul(CoeffTable.identity(2)) == t
+        assert matmul(t, CoeffTable.identity(2)) == t
 
     def test_matmul_shape_check(self):
         t = CoeffTable.of([[1, 2]])
         with pytest.raises(ValidationError):
-            t.matmul(t)
+            matmul(t, t)
 
     def test_symmetry_predicate(self):
         assert CoeffTable.of([[1, 5], [5, 2]]).is_symmetric
@@ -170,7 +170,7 @@ class TestVandermondeMatrices:
 
     def test_negative_side_stencil_inverse(self):
         s = Stencil(-1, 4)
-        assert inv_vandermonde(s).matmul(vandermonde(s)) == CoeffTable.identity(4)
+        assert matmul(inv_vandermonde(s), vandermonde(s)) == CoeffTable.identity(4)
 
 
 def padded_windows(max_m, pad):
@@ -203,7 +203,7 @@ class TestInverseRoutesAgree:
         monkeypatch.setattr(vandermonde_module, "inv_vandermonde_left_aligned", forbidden)
         inv_vandermonde.cache_clear()
         s = Stencil(3, 4)
-        assert inv_vandermonde(s).matmul(vandermonde(s)) == CoeffTable.identity(8)
+        assert matmul(inv_vandermonde(s), vandermonde(s)) == CoeffTable.identity(8)
 
 
 class TestNu:
