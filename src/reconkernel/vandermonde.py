@@ -192,10 +192,10 @@ def inv_vandermonde_left_aligned(m: int) -> CoeffTable:
     return CoeffTable.of(rows)
 
 
-def _node_poly(s: Stencil) -> list[int]:
+def _node_poly(nodes: Iterable[int]) -> list[int]:
     """Ascending integer coefficients of the monic node polynomial prod_l (x - l)."""
     omega = [1]
-    for x in s.offsets():
+    for x in nodes:
         omega = [a - x * b for a, b in zip([0] + omega, omega + [0])]
     return omega
 
@@ -213,7 +213,7 @@ def inv_vandermonde(s: Stencil) -> CoeffTable:
     """
     _stencil(s)
     m = s.m
-    master = _node_poly(s)
+    master = _node_poly(s.offsets())
     cols = []
     for j, x in enumerate(s.offsets()):
         den = (-1) ** (m - j) * factorial(j) * factorial(m - j)
@@ -223,7 +223,7 @@ def inv_vandermonde(s: Stencil) -> CoeffTable:
 
 def _power_interpolant(s: Stencil, k: int) -> RatPoly:
     """x^k mod the node polynomial: the interpolant of x^k on the stencil."""
-    return RatPoly.of(_divmod_int([0] * k + [1], _node_poly(s))[1])
+    return RatPoly.of(_divmod_int([0] * k + [1], _node_poly(s.offsets()))[1])
 
 
 def nu(s: Stencil, m: int, k: int) -> Fraction:

@@ -9,9 +9,13 @@ A stencil of M+1 cells splits into K+1 overlapping substencils of M-K+1
 cells each.  The rational weight-functions sigma combine the substencil
 reconstructing polynomials exactly into the big-stencil one; their values at
 xi = 1/2 are the classical linear weights of weighted essentially
-non-oscillatory schemes.  Both come from one triangular solve of that
-identity: cell l <= K is the leftmost cell of substencil l, so the first K+1
-cells fix the weights one at a time.  Sturm counting certifies that every
+non-oscillatory schemes.  The linear weights come from one triangular solve
+of that identity on the face coefficients: cell l <= K is the leftmost cell
+of substencil l, so the first K+1 cells fix the weights one at a time.  On
+a uniform grid that solve on a shifted window gives sigma at every cell
+interface, and the weight-functions are interpolated from those values in
+integers over their known denominators, then certified at enough further
+interfaces to prove them exact.  Sturm counting certifies that every
 weight denominator has only real roots, and the Jiang-Shu smoothness
 indicator is assembled as an exact quadratic form in the cell values.
 """
@@ -22,7 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm, perm
 from operator import mul
-from typing import Union
 
 from .exact import (
     InvariantError,
@@ -31,17 +34,19 @@ from .exact import (
     Rational,
     ValidationError,
     _common_denominator,
+    _divmod_int,
     _homogeneous_eval,
     _int,
     _int_sturm_chain,
     _memo,
+    _positive_primitive,
     _rat,
     _sturm_variations,
     cauchy_root_bound,
     poly_eval,
 )
 from .recon import basis, face_coeffs, pair_f_from_h, pair_h_from_f
-from .vandermonde import CoeffTable, Stencil, _power_interpolant, _stencil
+from .vandermonde import CoeffTable, Stencil, _node_poly, _power_interpolant, _stencil
 
 __all__ = [
     "ErrorExpansion",
@@ -262,9 +267,8 @@ def _solve_weights(s: Stencil, big, subs) -> tuple:
     # big[l] = sum_k sigma_k subs[k][l - k] for every cell l, as substencil k
     # covers cells k .. k + M - K.  Cell l <= K lies in substencils
     # max(0, l - M + K) .. l and is the leftmost cell of substencil l, so the
-    # first K + 1 equations fix the weights one at a time.  The scalars are
-    # Fractions or RatFunctions; a RatFunction never equals 0, and the
-    # leftmost basis member it stands for has degree M.
+    # first K + 1 equations fix the weights one at a time, here on the
+    # coefficients at one point xi.
     width = len(subs[0])
     sigma = []
     for l, sub in enumerate(subs):
@@ -277,31 +281,117 @@ def _solve_weights(s: Stencil, big, subs) -> tuple:
     return tuple(sigma)
 
 
+def _cardinals(nodes: list[int]) -> list[tuple[list[int], int]]:
+    # the Lagrange cardinals on integer nodes u_i: omega/(u - u_i) with
+    # omega = prod (u - u_j), and its value at u_i
+    omega = _node_poly(nodes)
+    out = []
+    for u in nodes:
+        q = _divmod_int(omega, [-u, 1])[0]
+        out.append((q, _homogeneous_eval(q, u, 1)))
+    return out
+
+
+def _interpolate(cards: list[tuple[list[int], int]], values) -> tuple[list[int], int]:
+    # the polynomial in u through the values at the nodes of the cardinals,
+    # as integer coefficients over one common denominator
+    nums, den = _common_denominator([v / w for v, (_, w) in zip(values, cards)])
+    coeffs = [0] * len(cards)
+    for c, (q, _) in zip(nums, cards):
+        if c:
+            coeffs = [a + c * b for a, b in zip(coeffs, q)]
+    return coeffs, den
+
+
+def _in_xi(coeffs: list[int], den: int) -> RatPoly:
+    # p(u)/den with u = 2 xi: coefficient m scales by 2^m
+    return RatPoly.of(Fraction(c << m, den) for m, c in enumerate(coeffs))
+
+
 @_memo
 def sigma_weights(s: Stencil, levels: int) -> WeightFamily:
     """Weight-functions sigma of the K-fold subdivision, fully reduced.
 
-    Solves alpha_h,l = sum_k sigma_k * (alpha_h of substencil k at that
-    cell), one equation per cell l, over the reconstructing bases of the
-    stencil and of its K+1 substencils: the first K+1 cells fix the weights
-    one at a time, and the family is checked to sum to 1.  Valid for
-    stencils with M >= 2 and 1 <= levels <= M-1.
+    sigma_k solves alpha_h,l = sum_k sigma_k * (alpha_h of substencil k at
+    that cell) over the first K+1 cells.  No basis is built: on a uniform
+    grid, sigma at the cell interface xi = t + 1/2 is `sigma_values_at_half`
+    of the window shifted by t, and the nodes run t = 0, -1, 1, -2, ...,
+    skipping any where the leftmost face coefficient D_j of a substencil
+    vanishes.  D_j, of degree M-K, is interpolated from those face
+    coefficients; the denominators are den_0 = D_0, den_K = D_(K-1) and
+    den_k = D_(k-1) D_k in between.  N_k = sigma_k den_k, of degree at most
+    deg den_k + K, is interpolated in u = 2 xi at the odd integers, in
+    integers.  By the solve, sigma_k D_0 ... D_k is a polynomial of degree
+    at most B_k = K + (k+1)(M-K), so N_k/den_k = sigma_k at B_k + 1 nodes
+    proves the weight; a miss is an InvariantError.  The family is checked
+    to sum to 1.  Valid for stencils with M >= 2 and 1 <= levels <= M-1.
     """
     _check_subdivision(s, levels)
-    stencils = [s] + [substencil(s, levels, k) for k in range(levels + 1)]
-    big, *subs = [[RatFunction.from_poly(p) for p in basis(st).alpha_h] for st in stencils]
-    return WeightFamily(s, levels, _solve_weights(s, big, subs))
+    width = s.m - levels
+    # B_K + 1 interfaces, the most any certificate reads
+    need = levels + (levels + 1) * width + 1
+    nodes, firsts, values = [], [], []
+    t = 0
+    while len(nodes) < need:
+        shifted = Stencil(s.m_minus + t, s.m_plus - t)
+        lead = [face_coeffs(substencil(shifted, levels, j))[0] for j in range(levels + 1)]
+        if all(lead):
+            nodes.append(2 * t + 1)
+            firsts.append(lead)
+            values.append(sigma_values_at_half(shifted, levels))
+        t = -t - 1 if t >= 0 else -t
+
+    cards = {}
+
+    def fit(vals) -> tuple[list[int], int]:
+        # weights with equal degree bounds share their nodes and cardinals
+        n = len(vals)
+        if n not in cards:
+            cards[n] = _cardinals(nodes[:n])
+        return _interpolate(cards[n], vals)
+
+    factors = []
+    for j in range(levels):
+        coeffs = fit([lead[j] for lead in firsts[: width + 1]])[0]
+        if coeffs[-1] == 0:
+            raise InvariantError(
+                f"leftmost coefficient of substencil {j} of {s} at {levels} levels "
+                f"has degree below {width}"
+            )
+        factors.append(_positive_primitive(coeffs))
+    at_nodes = [[_homogeneous_eval(d, u, 1) for u in nodes] for d in factors]
+    polys = [_in_xi(d, 1) for d in factors]
+    # each denominator with its values at the nodes
+    dens = [(polys[0], at_nodes[0])]
+    for a, b, at_a, at_b in zip(polys, polys[1:], at_nodes, at_nodes[1:]):
+        dens.append((a * b, list(map(mul, at_a, at_b))))
+    dens.append((polys[-1], at_nodes[-1]))
+
+    weights = []
+    for k, (den, den_at) in enumerate(dens):
+        # deg den_k + K + 1 nodes fit N_k; nodes n .. B_k are the certificate
+        n = den.degree + levels + 1
+        num, scale = fit([v[k] * d for v, d in zip(values[:n], den_at)])
+        for i in range(n, levels + (k + 1) * width + 1):
+            p, q = values[i][k].as_integer_ratio()
+            if _homogeneous_eval(num, nodes[i], 1) * q != p * scale * den_at[i]:
+                raise InvariantError(
+                    f"interface certificate: weight {k} of {s} at {levels} levels "
+                    f"misses its value at xi = {Fraction(nodes[i], 2)}"
+                )
+        weights.append(RatFunction(_in_xi(num, scale), den))
+    return WeightFamily(s, levels, tuple(weights))
 
 
 @_memo
 def sigma_values_at_half(s: Stencil, levels: int) -> tuple[Fraction, ...]:
     """The linear weights: sigma evaluated at xi = 1/2 without symbolic algebra.
 
-    Runs the same solve as `sigma_weights` on the face coefficients of the
-    stencil and of its K+1 substencils, so wide positivity scans stay cheap.
-    The solve uses the first K+1 cell equations; the weights are checked to
-    sum to 1, which holds only if the residuals of the other M-K cell
-    equations sum to zero.
+    Solves the first K+1 cell equations on the face coefficients of the
+    stencil and of its K+1 substencils, so wide positivity scans stay cheap;
+    `sigma_weights` samples this solve at every cell interface.  The
+    weights are checked to sum to 1, which holds only if the residuals of
+    the other M-K cell equations sum to zero.
     """
     _check_subdivision(s, levels)
     subs = [face_coeffs(substencil(s, levels, k)) for k in range(levels + 1)]

@@ -7,8 +7,11 @@ whose back-substitution inverse is checked against its closed form, and the
 face coefficients by the classical product/sum formula in O(M^4) integer
 products, and the smoothness forms by integrating products of the basis
 derivatives one at a time, and the weight-functions and linear weights by
-the level-by-level convolution recurrence over one-fold splits, and the
-pole census by Sturm chains in `Fraction`s, rebuilt at every bisection step.
+the level-by-level convolution recurrence over one-fold splits, the
+weight-functions also by the triangular solve in `RatFunction` arithmetic
+on the basis polynomials, which the package's interpolation at the cell
+interfaces replaced, and the pole census by Sturm chains in `Fraction`s,
+rebuilt at every bisection step.
 Polynomial division, evaluation and the sliding average are also reached
 by the `Fraction` loops that the package's integer kernels replaced: the
 elimination loop, Horner's rule, and the antiderivative shifted by +-1/2,
@@ -486,8 +489,30 @@ def beta_form_product_oracle(s: Stencil, face_centered: bool = False) -> Smoothn
 
 
 # ---------------------------------------------------------------------------
-# substencil weights by the convolution recurrence
+# substencil weights by the symbolic solve and the convolution recurrence
 # ---------------------------------------------------------------------------
+
+
+@cache
+def sigma_weights_symbolic_oracle(s: Stencil, levels: int) -> WeightFamily:
+    """Weight-functions by the triangular solve on the basis polynomials.
+
+    Solves alpha_h,l = sum_k sigma_k * (alpha_h of substencil k at that
+    cell), one equation per cell l, over the reconstructing bases of the
+    stencil and of its K+1 substencils, in `RatFunction` arithmetic: cell
+    l <= K is the leftmost cell of substencil l, so the first K+1 cells fix
+    the weights one at a time, each step reduced by a polynomial gcd.
+    """
+    stencils = [s] + [substencil(s, levels, k) for k in range(levels + 1)]
+    big, *subs = [[RatFunction.from_poly(p) for p in basis(st).alpha_h] for st in stencils]
+    width = len(subs[0])
+    sigma = []
+    for l, sub in enumerate(subs):
+        rest = big[l]
+        for k in range(max(0, l - width + 1), l):
+            rest = rest - sigma[k] * subs[k][l - k]
+        sigma.append(rest / sub[0])
+    return WeightFamily(s, levels, tuple(sigma))
 
 
 @cache

@@ -18,6 +18,7 @@ from reconkernel.exact import (
     poly_gcd,
     sturm_real_root_count,
 )
+import reconkernel.recon as recon_module
 import reconkernel.vandermonde as vandermonde_module
 from reconkernel import harness, weno
 from reconkernel.deconv import tau
@@ -61,6 +62,7 @@ from oracles import (
     sigma_family_recurrence_oracle,
     sigma_half_recurrence_oracle,
     sigma_pole_analysis_rebuild_oracle,
+    sigma_weights_symbolic_oracle,
 )
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
@@ -583,6 +585,66 @@ class TestDenominatorFactors:
                 expected = [d[0]] + [a * b for a, b in zip(d, d[1:])] + [d[-1]]
                 reports = sigma_pole_analysis(sigma_weights(s, levels))
                 assert [r.denominator for r in reports] == expected, (s, levels)
+
+
+class TestInterfaceRoute:
+    """Weight-functions interpolated from the face solve at the cell interfaces."""
+
+    @pytest.mark.parametrize("m", range(2, 10))
+    def test_every_padded_window_matches_the_symbolic_solve(self, m):
+        for s in near_pivot_windows(m, 2):
+            for levels in range(1, m):
+                assert sigma_weights(s, levels) == sigma_weights_symbolic_oracle(s, levels), (s, levels)
+
+    @pytest.mark.parametrize(
+        "s, levels",
+        [
+            (Stencil(-20, 25), 2),
+            (Stencil(-70, 76), 3),
+            (Stencil(45, -40), 2),
+            (Stencil(-30, 41), 5),
+            (Stencil(-60, 76), 8),
+        ],
+        ids=str,
+    )
+    def test_far_windows_match_the_symbolic_solve(self, s, levels):
+        assert sigma_weights(s, levels) == sigma_weights_symbolic_oracle(s, levels)
+
+    def test_a_cold_call_builds_no_basis(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the weight-functions reached a basis, an inverse or tau")
+
+        monkeypatch.setattr(weno, "basis", forbidden)
+        monkeypatch.setattr(recon_module, "inv_vandermonde", forbidden)
+        monkeypatch.setattr(vandermonde_module, "inv_vandermonde", forbidden)
+        monkeypatch.setattr(recon_module, "tau", forbidden)
+        s, levels = Stencil(-41, 47), 3
+        misses = sigma_weights.cache_info().misses
+        family = sigma_weights(s, levels)
+        assert sigma_weights.cache_info().misses == misses + 1
+        monkeypatch.undo()
+        assert family == sigma_weights_symbolic_oracle(s, levels)
+
+    def test_a_wrong_value_past_the_fitted_nodes_fails_the_certificate(self, monkeypatch):
+        # M = 5, K = 2: the end weight 2 is fitted on the first 6 interfaces
+        # and certified on interfaces 6 .. 11, t = -3, 3, -4, 4, -5, -6
+        s, levels = Stencil(-13, 18), 2
+        solve = weno.sigma_values_at_half
+
+        def shifted(st, k):
+            vals = solve(st, k)
+            if st == Stencil(s.m_minus - 5, s.m_plus + 5):
+                vals = vals[:2] + (vals[2] + F(1, 7),)
+            return vals
+
+        monkeypatch.setattr(weno, "sigma_values_at_half", shifted)
+        with pytest.raises(InvariantError) as exc:
+            sigma_weights(s, levels)
+        assert str(exc.value) == (
+            "interface certificate: weight 2 of (-13,18) at 2 levels misses its value at xi = -9/2"
+        )
+        monkeypatch.undo()
+        assert sigma_weights(s, levels) == sigma_weights_symbolic_oracle(s, levels)
 
 
 WRONG_TYPE_CASES = [

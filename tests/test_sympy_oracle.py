@@ -1,7 +1,7 @@
 """sympy as a third route to the face coefficients, the tau numbers, the
 inverse Vandermonde matrices, the face error constants Lambda, the
-smoothness forms, the linear weights, the polynomial gcd and the Sturm
-census of the weight denominators.
+smoothness forms, the linear weights, the weight-functions, the polynomial
+gcd and the Sturm census of the weight denominators.
 
 Runs only where sympy is installed; it is not a dependency of the package.
 """
@@ -144,6 +144,46 @@ def test_linear_weights_solve_every_cell_equation(s):
         solution, free = system.gauss_jordan_solve(sympy.Matrix([as_rational(c) for c in big]))
         assert free.shape[0] == 0
         assert sigma_values_at_half(s, levels) == tuple(as_fraction(c) for c in solution), levels
+
+
+def sympy_basis(s: Stencil) -> list:
+    """The reconstructing basis: column l of the inverse cell-average matrix."""
+    inverse = cell_average_matrix(s).inv()
+    return [sum(inverse[d, l] * X**d for d in range(s.m + 1)) for l in range(s.m + 1)]
+
+
+def as_fraction_coeffs(expr) -> tuple[F, ...]:
+    return tuple(as_fraction(c) for c in reversed(sympy.Poly(expr, X).all_coeffs()))
+
+
+@pytest.mark.parametrize(
+    "s,levels",
+    [
+        (Stencil(1, 1), 1),
+        (Stencil(2, 2), 2),
+        (Stencil(3, 1), 2),
+        (Stencil(-2, 5), 1),
+        (Stencil(2, 3), 3),
+        (Stencil(1, 5), 4),
+    ],
+    ids=str,
+)
+def test_weight_functions_solve_the_first_cell_equations(s, levels):
+    # cell l <= K of the stencil is cell l - k of substencil k; sympy solves
+    # those K+1 equations and reduces each weight with cancel
+    big = sympy_basis(s)
+    subs = [sympy_basis(substencil(s, levels, k)) for k in range(levels + 1)]
+    sigma = sympy.symbols(f"sigma0:{levels + 1}")
+    equations = [
+        sum(sigma[k] * sub[l - k] for k, sub in enumerate(subs) if 0 <= l - k < len(sub)) - big[l]
+        for l in range(levels + 1)
+    ]
+    solution = sympy.solve(equations, sigma, dict=True)[0]
+    for k, w in enumerate(sigma_weights(s, levels).weights):
+        num, den = sympy.fraction(sympy.cancel(solution[sigma[k]]))
+        lead = sympy.Poly(den, X).LC()
+        assert as_fraction_coeffs(num / lead) == w.num.coeffs, k
+        assert as_fraction_coeffs(den / lead) == w.den.coeffs, k
 
 
 def random_poly(rng: random.Random, degree: int) -> RatPoly:
