@@ -9,7 +9,8 @@ direction is governed by the tau numbers, the Taylor coefficients of
     g(x) = (x/2) / sinh(x/2).
 
 A two-fold average (average of the average) has its own coefficient pair,
-used for exact second-derivative flux differences.
+the Cauchy squares of the one-fold sequences; the package exports them and
+uses them nowhere else.
 """
 
 from __future__ import annotations

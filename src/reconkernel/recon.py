@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Sequence, Union
 
-from .deconv import deconv_forward_coeff, tau
+from .deconv import deconv_forward_coeff, deconv_inverse_coeff
 from .exact import (
     InvariantError,
     RatPoly,
@@ -80,7 +80,7 @@ def pair_h_from_f(c_f: CoeffList) -> list[Fraction]:
 
     c_h[m] = (1/m!) sum_k tau_{2k} c_f[m+2k] (m+2k)!.
     """
-    return _pair_map(c_f, lambda k: tau(2 * k))
+    return _pair_map(c_f, deconv_inverse_coeff)
 
 
 def poly_sliding_average(p: Union[RatPoly, Sequence[Rational]]) -> RatPoly:

@@ -4,9 +4,9 @@ A stencil (m_minus, m_plus) is the contiguous cell-index window
 {-m_minus, ..., m_plus} around a pivot cell.  The Vandermonde matrix of its
 node offsets is inverted through its Lagrange cardinal polynomials: column j
 of the inverse is the node polynomial prod_k (x - x_k) divided by (x - x_j)
-and by its derivative at x_j, all in integers.  The same node polynomial
-gives the error generators nu: the interpolant of x^k on the stencil is
-the remainder of x^k divided by it.  The closed form on the left-aligned
+and by the value of that quotient at x_j, all in integers.  The same node
+polynomial gives the error generators nu: the interpolant of x^k on the
+stencil is the remainder of x^k divided by it.  The closed form on the left-aligned
 window {0, ..., M}, from unsigned Stirling numbers of the first kind, stays
 public as an independent check.
 """
@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Iterable, Sequence
 
-from .exact import RatPoly, Rational, ValidationError, _divmod_int, _int, _memo, _rat
+from .exact import RatPoly, Rational, ValidationError, _divmod_int, _homogeneous_eval, _int, _memo, _rat
 
 __all__ = [
     "CoeffTable",
@@ -200,6 +200,16 @@ def _node_poly(nodes: Iterable[int]) -> list[int]:
     return omega
 
 
+def _cardinals(nodes: Sequence[int]) -> list[tuple[list[int], int]]:
+    """The unscaled Lagrange cardinals q_j = omega/(x - x_j) on integer nodes, with q_j(x_j)."""
+    omega = _node_poly(nodes)
+    out = []
+    for x in nodes:
+        q = _divmod_int(omega, [-x, 1])[0]
+        out.append((q, _homogeneous_eval(q, x, 1)))
+    return out
+
+
 @_memo
 def inv_vandermonde(s: Stencil) -> CoeffTable:
     """Exact inverse Vandermonde matrix on an arbitrary stencil.
@@ -207,17 +217,13 @@ def inv_vandermonde(s: Stencil) -> CoeffTable:
     Column j holds the coefficients of the Lagrange cardinal polynomial of
     node x_j: the node polynomial P(x) = prod_k (x - x_k), built once in
     integers, divided by (x - x_j) in integer long division and then by
-    P'(x_j) = (-1)^(M-j) j! (M-j)!, with one fraction per entry (the O(M^2)
-    inverse of Press et al., Numerical Recipes, section 2.8).  Nodes are
-    the signed offsets, so windows beside the pivot work unchanged.
+    that quotient's value at x_j, which is P'(x_j), with one fraction per
+    entry (the O(M^2) inverse of Press et al., Numerical Recipes, section
+    2.8).  Nodes are the signed offsets, so windows beside the pivot work
+    unchanged.
     """
     _stencil(s)
-    m = s.m
-    master = _node_poly(s.offsets())
-    cols = []
-    for j, x in enumerate(s.offsets()):
-        den = (-1) ** (m - j) * factorial(j) * factorial(m - j)
-        cols.append([Fraction(c, den) for c in _divmod_int(master, [-x, 1])[0]])
+    cols = [[Fraction(c, den) for c in q] for q, den in _cardinals(s.offsets())]
     return CoeffTable.of(zip(*cols))
 
 

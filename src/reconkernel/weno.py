@@ -3,7 +3,8 @@
 The reconstruction and interpolation errors of a stencil admit exact
 expansions in powers of the cell width: mu polynomials weight derivatives at
 the pivot, lambda polynomials weight derivatives at the evaluation point, and
-the constants Lambda = lambda_h(1/2) govern the face-value error.
+the constants Lambda = lambda_h(1/2) govern the face-value error.  mu_h is
+in explicit form: a deconvolved interpolant of degree <= M less a tau tail.
 
 A stencil of M+1 cells splits into K+1 overlapping substencils of M-K+1
 cells each.  The rational weight-functions sigma combine the substencil
@@ -11,13 +12,14 @@ reconstructing polynomials exactly into the big-stencil one; their values at
 xi = 1/2 are the classical linear weights of weighted essentially
 non-oscillatory schemes.  The linear weights come from one triangular solve
 of that identity on the face coefficients: cell l <= K is the leftmost cell
-of substencil l, so the first K+1 cells fix the weights one at a time.  On
-a uniform grid that solve on a shifted window gives sigma at every cell
-interface, and the weight-functions are interpolated from those values in
-integers over their known denominators, then certified at enough further
-interfaces to prove them exact.  Sturm counting certifies that every
-weight denominator has only real roots, and the Jiang-Shu smoothness
-indicator is assembled as an exact quadratic form in the cell values.
+of substencil l, so the first K+1 cells fix the weights one at a time.  The
+weight denominators come in closed form from the right faces of the
+substencil cells; on a uniform grid the face solve on a shifted window gives
+sigma at every cell interface, so the numerators are interpolated from those
+values in integers and certified at enough further interfaces to prove the
+weights exact.  Sturm counting certifies that every weight denominator has
+only real roots, and the Jiang-Shu smoothness indicator is assembled as an
+exact quadratic form in the cell values.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .exact import (
     Rational,
     ValidationError,
     _common_denominator,
-    _divmod_int,
     _homogeneous_eval,
     _int,
     _int_sturm_chain,
@@ -45,8 +46,9 @@ from .exact import (
     cauchy_root_bound,
     poly_eval,
 )
-from .recon import basis, face_coeffs, pair_f_from_h, pair_h_from_f
-from .vandermonde import CoeffTable, Stencil, _node_poly, _power_interpolant, _stencil
+from .deconv import shifted_taylor_poly
+from .recon import basis, face_coeffs, pair_h_from_f, poly_sliding_average
+from .vandermonde import CoeffTable, Stencil, _cardinals, _node_poly, _power_interpolant, _stencil
 
 __all__ = [
     "ErrorExpansion",
@@ -89,9 +91,10 @@ def _mu_f_any(s: Stencil, order: int) -> RatPoly:
 
 
 def _mu_h_any(s: Stencil, order: int) -> RatPoly:
-    # the reconstruction error is the deconvolution of the interpolation
-    # error; trailing zeros of the latter add nothing to the triangular map
-    return RatPoly.of(pair_h_from_f(_mu_f_any(s, order).coeffs))
+    # _mu_f_any deconvolved term by term: x^order/order! deconvolves to
+    # shifted_taylor_poly(order), so only the interpolant (degree <= M) is mapped
+    nu_h = RatPoly.of(pair_h_from_f(_power_interpolant(s, order).coeffs))
+    return nu_h * Fraction(1, factorial(order)) - shifted_taylor_poly(order)
 
 
 @_memo
@@ -110,9 +113,10 @@ def mu_f(s: Stencil, order: int) -> RatPoly:
 def mu_h(s: Stencil, order: int) -> RatPoly:
     """Pivot-derivative error polynomial of the reconstruction.
 
-    The deconvolution (`pair_h_from_f`) of mu_f(s, order): the tau tail of
-    the shifted deconvolution jet plus the nu corrections of the stencil;
-    degree exactly `order`.
+    The deconvolution (`pair_h_from_f`) of mu_f(s, n), in explicit form:
+    1/n! times the deconvolved nu corrections sum_m nu_{m,n} xi^m, of degree
+    <= M, less the tau tail `shifted_taylor_poly(n)`, which is the
+    deconvolution of xi^n/n!; degree exactly n.
     """
     _require_expansion_order(s, order)
     return _mu_h_any(s, order)
@@ -125,7 +129,7 @@ def _relocated(s: Stencil, order: int, mu, averaged: bool) -> RatPoly:
     for l in range(order - s.m):
         kernel = RatPoly.monomial(l, Fraction((-1) ** l, factorial(l)))
         if averaged:
-            kernel = RatPoly.of(pair_f_from_h(kernel.coeffs))
+            kernel = poly_sliding_average(kernel)
         total = total + mu(s, order - l) * kernel
     return total
 
@@ -281,17 +285,6 @@ def _solve_weights(s: Stencil, big, subs) -> tuple:
     return tuple(sigma)
 
 
-def _cardinals(nodes: list[int]) -> list[tuple[list[int], int]]:
-    # the Lagrange cardinals on integer nodes u_i: omega/(u - u_i) with
-    # omega = prod (u - u_j), and its value at u_i
-    omega = _node_poly(nodes)
-    out = []
-    for u in nodes:
-        q = _divmod_int(omega, [-u, 1])[0]
-        out.append((q, _homogeneous_eval(q, u, 1)))
-    return out
-
-
 def _interpolate(cards: list[tuple[list[int], int]], values) -> tuple[list[int], int]:
     # the polynomial in u through the values at the nodes of the cardinals,
     # as integer coefficients over one common denominator
@@ -313,33 +306,27 @@ def sigma_weights(s: Stencil, levels: int) -> WeightFamily:
     """Weight-functions sigma of the K-fold subdivision, fully reduced.
 
     sigma_k solves alpha_h,l = sum_k sigma_k * (alpha_h of substencil k at
-    that cell) over the first K+1 cells.  No basis is built: on a uniform
-    grid, sigma at the cell interface xi = t + 1/2 is `sigma_values_at_half`
-    of the window shifted by t, and the nodes run t = 0, -1, 1, -2, ...,
-    skipping any where the leftmost face coefficient D_j of a substencil
-    vanishes.  D_j, of degree M-K, is interpolated from those face
-    coefficients; the denominators are den_0 = D_0, den_K = D_(K-1) and
-    den_k = D_(k-1) D_k in between.  N_k = sigma_k den_k, of degree at most
-    deg den_k + K, is interpolated in u = 2 xi at the odd integers, in
+    that cell) over the first K+1 cells.  The denominators are den_0 = D_0,
+    den_K = D_(K-1) and den_k = D_(k-1) D_k, with D_j the leftmost alpha_h
+    of substencil j: on M'+1 cells it is (-1)^M' P'(xi)/(M'+1)!, P(xi) =
+    prod_l (xi - l - 1/2) over the right faces of the cells, so by Rolle's
+    theorem no cell interface is a root.  No basis is built: sigma at the
+    interface xi = t + 1/2 is `sigma_values_at_half` of the window shifted
+    by t, for t = 0, -1, 1, -2, ....  N_k = sigma_k den_k, of degree at
+    most deg den_k + K, is interpolated in u = 2 xi at the odd integers, in
     integers.  By the solve, sigma_k D_0 ... D_k is a polynomial of degree
-    at most B_k = K + (k+1)(M-K), so N_k/den_k = sigma_k at B_k + 1 nodes
-    proves the weight; a miss is an InvariantError.  The family is checked
-    to sum to 1.  Valid for stencils with M >= 2 and 1 <= levels <= M-1.
+    at most B_k = K + (k+1)(M-K), so N_k/den_k = sigma_k at B_k + 1
+    interfaces proves the weight; a miss is an InvariantError.  For K >= 2
+    weights 0 and 1 have no interface to spare, so the check that the
+    family sums to 1 is the one on D_0 and D_1.  Valid for M >= 2 and
+    1 <= levels <= M-1.
     """
     _check_subdivision(s, levels)
     width = s.m - levels
     # B_K + 1 interfaces, the most any certificate reads
-    need = levels + (levels + 1) * width + 1
-    nodes, firsts, values = [], [], []
-    t = 0
-    while len(nodes) < need:
-        shifted = Stencil(s.m_minus + t, s.m_plus - t)
-        lead = [face_coeffs(substencil(shifted, levels, j))[0] for j in range(levels + 1)]
-        if all(lead):
-            nodes.append(2 * t + 1)
-            firsts.append(lead)
-            values.append(sigma_values_at_half(shifted, levels))
-        t = -t - 1 if t >= 0 else -t
+    shifts = [(-1) ** i * ((i + 1) // 2) for i in range(levels + (levels + 1) * width + 1)]
+    nodes = [2 * t + 1 for t in shifts]
+    values = [sigma_values_at_half(Stencil(s.m_minus + t, s.m_plus - t), levels) for t in shifts]
 
     cards = {}
 
@@ -352,13 +339,9 @@ def sigma_weights(s: Stencil, levels: int) -> WeightFamily:
 
     factors = []
     for j in range(levels):
-        coeffs = fit([lead[j] for lead in firsts[: width + 1]])[0]
-        if coeffs[-1] == 0:
-            raise InvariantError(
-                f"leftmost coefficient of substencil {j} of {s} at {levels} levels "
-                f"has degree below {width}"
-            )
-        factors.append(_positive_primitive(coeffs))
+        # P'(u) with P(u) = prod (u - 2l - 1) over the cells l of substencil j
+        faces = _node_poly(2 * l + 1 for l in substencil(s, levels, j).offsets())
+        factors.append(_positive_primitive([m * c for m, c in enumerate(faces)][1:]))
     at_nodes = [[_homogeneous_eval(d, u, 1) for u in nodes] for d in factors]
     polys = [_in_xi(d, 1) for d in factors]
     # each denominator with its values at the nodes

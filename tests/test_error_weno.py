@@ -18,11 +18,12 @@ from reconkernel.exact import (
     poly_gcd,
     sturm_real_root_count,
 )
+import reconkernel.deconv as deconv_module
 import reconkernel.recon as recon_module
 import reconkernel.vandermonde as vandermonde_module
 from reconkernel import harness, weno
 from reconkernel.deconv import tau
-from reconkernel.recon import basis, face_coeffs, poly_sliding_average
+from reconkernel.recon import basis, face_coeffs, pair_h_from_f, poly_sliding_average
 from reconkernel.vandermonde import (
     CoeffTable,
     Stencil,
@@ -163,6 +164,17 @@ class TestMuExpansions:
         for k in range(s.m + 1):
             assert _mu_f_any(s, k) == RatPoly()
             assert _mu_h_any(s, k) == RatPoly()
+
+    @pytest.mark.parametrize(
+        "s, n_max", [(Stencil(0, 12), 60), (Stencil(3, 4), 60), (Stencil(-2, 7), 30)], ids=str
+    )
+    def test_high_orders_are_the_deconvolved_interpolation_error(self, s, n_max):
+        for n in range(s.m + 1, n_max + 1):
+            assert mu_h(s, n) == RatPoly.of(pair_h_from_f(mu_f(s, n).coeffs)), n
+
+    @pytest.mark.parametrize("s", [Stencil(20, 20), Stencil(0, 40)], ids=str)
+    def test_order_150_is_the_deconvolved_interpolation_error(self, s):
+        assert mu_h(s, 150) == RatPoly.of(pair_h_from_f(mu_f(s, 150).coeffs))
 
     def test_order_validation(self):
         s = Stencil(1, 1)
@@ -587,6 +599,31 @@ class TestDenominatorFactors:
                 assert [r.denominator for r in reports] == expected, (s, levels)
 
 
+def face_derivative(s):
+    # P'(xi) for P(xi) = prod_l (xi - l - 1/2) over the right faces of the cells
+    p = RatPoly.constant(1)
+    for l in s.offsets():
+        p = p * RatPoly.of([-l - F(1, 2), 1])
+    return p.derivative()
+
+
+class TestLeftmostBasisClosedForm:
+    """alpha_h,0 = (-1)^M P'/(M+1)!: the weight denominators in closed form."""
+
+    @pytest.mark.parametrize("m", range(11))
+    def test_every_padded_window(self, m):
+        for s in near_pivot_windows(m, 3):
+            expected = face_derivative(s) * F((-1) ** m, math.factorial(m + 1))
+            assert basis(s).alpha_h[0] == expected, s
+
+    @pytest.mark.parametrize("m", range(11))
+    def test_no_cell_interface_is_a_root(self, m):
+        # Rolle: the M roots of P' lie strictly between the M+1 faces
+        for s in near_pivot_windows(m, 3):
+            d = face_derivative(s)
+            assert all(d(n + F(1, 2)) != 0 for n in range(-m - 10, m + 11)), s
+
+
 class TestInterfaceRoute:
     """Weight-functions interpolated from the face solve at the cell interfaces."""
 
@@ -617,11 +654,35 @@ class TestInterfaceRoute:
         monkeypatch.setattr(weno, "basis", forbidden)
         monkeypatch.setattr(recon_module, "inv_vandermonde", forbidden)
         monkeypatch.setattr(vandermonde_module, "inv_vandermonde", forbidden)
-        monkeypatch.setattr(recon_module, "tau", forbidden)
+        monkeypatch.setattr(deconv_module, "tau", forbidden)
         s, levels = Stencil(-41, 47), 3
         misses = sigma_weights.cache_info().misses
         family = sigma_weights(s, levels)
         assert sigma_weights.cache_info().misses == misses + 1
+        monkeypatch.undo()
+        assert family == sigma_weights_symbolic_oracle(s, levels)
+
+    @pytest.mark.parametrize(
+        "s, levels", [(Stencil(-37, 43), 2), (Stencil(33, -27), 3), (Stencil(-48, 57), 8)], ids=str
+    )
+    def test_a_cold_call_solves_at_the_first_interfaces_only(self, monkeypatch, s, levels):
+        solve = weno.sigma_values_at_half
+        asked = []
+
+        def spy(st, k):
+            asked.append((st, k))
+            return solve(st, k)
+
+        monkeypatch.setattr(weno, "sigma_values_at_half", spy)
+        misses = sigma_weights.cache_info().misses
+        family = sigma_weights(s, levels)
+        assert sigma_weights.cache_info().misses == misses + 1
+        # B_K + 1 interfaces t + 1/2, nearest the pivot's right face first:
+        # t = 0, -1, 1, -2, ...
+        need = levels + (levels + 1) * (s.m - levels) + 1
+        shifts = sorted(range(-need, need), key=lambda t: (abs(2 * t + 1), -t))[:need]
+        assert shifts[:4] == [0, -1, 1, -2]
+        assert asked == [(Stencil(s.m_minus + t, s.m_plus - t), levels) for t in shifts]
         monkeypatch.undo()
         assert family == sigma_weights_symbolic_oracle(s, levels)
 

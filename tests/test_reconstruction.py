@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reconkernel
-from reconkernel import exact, harness, recon, weno
+from reconkernel import deconv, exact, harness, recon, weno
 from reconkernel.exact import (
     RatPoly,
     ValidationError,
@@ -293,7 +293,7 @@ class TestFaceRoutesAgree:
         for module in (recon, weno, harness):
             monkeypatch.setattr(module, "basis", forbidden)
         monkeypatch.setattr(recon, "inv_vandermonde", forbidden)
-        monkeypatch.setattr(recon, "tau", forbidden)
+        monkeypatch.setattr(deconv, "tau", forbidden)
         for memoized in (face_coeffs, weno.sigma_values_at_half):
             memoized.cache_clear()
         assert weno.positivity_scan(4)

@@ -156,6 +156,15 @@ def as_fraction_coeffs(expr) -> tuple[F, ...]:
     return tuple(as_fraction(c) for c in reversed(sympy.Poly(expr, X).all_coeffs()))
 
 
+@pytest.mark.parametrize("s", [Stencil(1, 1), Stencil(0, 4), Stencil(-2, 5), Stencil(3, 3)], ids=str)
+def test_leftmost_basis_polynomial_is_the_face_derivative(s):
+    # the weight denominators: (-1)^M P'(x)/(M+1)! with P vanishing on the
+    # right faces of the cells
+    faces = sympy.prod([X - l - HALF for l in s.offsets()])
+    expected = (-1) ** s.m * sympy.diff(faces, X) / sympy.factorial(s.m + 1)
+    assert sympy.expand(sympy_basis(s)[0] - expected) == 0
+
+
 @pytest.mark.parametrize(
     "s,levels",
     [
