@@ -67,6 +67,15 @@ def _int(x: object, message: str, lo: "int | None" = None, hi: "int | None" = No
     return x
 
 
+def _tuple(x: object, message: str) -> tuple:
+    """The items of x as a tuple when x is iterable; else ValidationError."""
+    try:
+        items = iter(x)
+    except TypeError:
+        raise ValidationError(message) from None
+    return tuple(items)
+
+
 def _memo(fn):
     """Unbounded typed `functools.lru_cache` of fn, with ValidationError for an unhashable argument.
 

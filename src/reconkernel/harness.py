@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import exp, fsum, isfinite, ldexp, log, sinh
 
 from .deconv import tau
-from .exact import ValidationError, _int, poly_eval
+from .exact import ValidationError, _int, _tuple, poly_eval
 from .recon import basis, face_coeffs
 from .vandermonde import Stencil, _stencil
 
@@ -133,12 +133,14 @@ class SampleSet:
         _stencil(self.stencil)
         _real(self.pivot, "pivot must be finite and delta_x positive")
         _real(self.delta_x, "pivot must be finite and delta_x positive", positive=True)
-        if len(self.values) != self.stencil.m + 1:
+        values = _tuple(self.values, "samples must be a sequence of finite numbers")
+        if len(values) != self.stencil.m + 1:
             raise ValidationError(
-                f"stencil {self.stencil} needs {self.stencil.m + 1} samples, got {len(self.values)}"
+                f"stencil {self.stencil} needs {self.stencil.m + 1} samples, got {len(values)}"
             )
-        for v in self.values:
+        for v in values:
             _real(v, "samples must be finite")
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def from_function(cls, s: Stencil, fn, pivot: float, delta_x: float) -> "SampleSet":

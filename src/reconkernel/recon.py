@@ -28,6 +28,7 @@ from .exact import (
     ValidationError,
     _memo,
     _rat,
+    _tuple,
     as_poly,
 )
 from .vandermonde import Stencil, _stencil, inv_vandermonde
@@ -51,7 +52,7 @@ def _coeff_tuple(c: CoeffList) -> tuple[Fraction, ...]:
             "pair maps act on raw coefficient lists; pass poly.coeffs "
             "(trailing zeros are significant for the list length)"
         )
-    return tuple(_rat(x) for x in c)
+    return tuple(_rat(x) for x in _tuple(c, "expected a coefficient list"))
 
 
 def _pair_map(c: CoeffList, weight) -> list[Fraction]:

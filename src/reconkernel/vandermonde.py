@@ -130,33 +130,26 @@ def comb0(n: int, k: int) -> int:
     return comb(n, k)
 
 
-#: Column k of the Stirling triangle as the list [0, k], [1, k], ...; a
-#: column is only ever replaced by a longer copy with the same prefix.
-_STIRLING_COLUMNS: dict[int, list[int]] = {}
+@_memo
+def _stirling_row(n: int) -> tuple[int, ...]:
+    # [n, 0] .. [n, n]: the coefficients of x(x+1)...(x+n-1)
+    return tuple(_node_poly(range(0, -n, -1)))
 
 
 @_memo
 def stirling1_unsigned(n: int, k: int) -> int:
     """Unsigned Stirling number of the first kind.
 
-    Recurrence [n+1, k] = n*[n, k] + [n, k-1] with [n, 0] = delta_{n0};
-    counts permutations of n elements with k cycles.  Out-of-range k gives 0.
-    Columns 0..k are filled bottom-up, so a cold call never recurses.
+    [n, k] is the coefficient of x^k in the rising factorial x(x+1)...(x+n-1);
+    it counts permutations of n elements with k cycles.  Out-of-range k
+    gives 0.  Row n is multiplied out factor by factor, so a cold call never
+    recurses.
     """
     _int(n, "Stirling indices must be nonnegative integers", lo=0)
     _int(k, "Stirling indices must be nonnegative integers", lo=0)
     if k > n:
         return 0
-    left = None
-    for i in range(k + 1):
-        col = _STIRLING_COLUMNS.get(i, [1 if i == 0 else 0])
-        if len(col) <= n:
-            col = list(col)
-            for j in range(len(col), n + 1):
-                col.append((j - 1) * col[j - 1] + (left[j - 1] if i else 0))
-            _STIRLING_COLUMNS[i] = col
-        left = col
-    return left[n]
+    return _stirling_row(n)[k]
 
 
 @_memo

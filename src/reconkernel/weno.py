@@ -15,11 +15,11 @@ of that identity on the face coefficients: cell l <= K is the leftmost cell
 of substencil l, so the first K+1 cells fix the weights one at a time.  The
 weight denominators come in closed form from the right faces of the
 substencil cells; on a uniform grid the face solve on a shifted window gives
-sigma at every cell interface, so the numerators are interpolated from those
-values in integers and certified at enough further interfaces to prove the
-weights exact.  Sturm counting certifies that every weight denominator has
-only real roots, and the Jiang-Shu smoothness indicator is assembled as an
-exact quadratic form in the cell values.
+sigma at every cell interface, so all numerators are interpolated from the
+same first interfaces in integers, and every weight is certified at all the
+others sampled, enough to prove it exact.  Sturm counting certifies that
+every weight denominator has only real roots, and the Jiang-Shu smoothness
+indicator is assembled as an exact quadratic form in the cell values.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .exact import (
     _positive_primitive,
     _rat,
     _sturm_variations,
+    _tuple,
     cauchy_root_bound,
     poly_eval,
 )
@@ -245,8 +246,8 @@ def _check_subdivision(s: Stencil, levels: int) -> None:
 class WeightFamily:
     """The K+1 rational weight-functions of a K-fold stencil subdivision.
 
-    weights[k] belongs to substencil(stencil, levels, k); the family sums to
-    the constant 1 identically, which is verified on construction.
+    weights[k] belongs to substencil(stencil, levels, k).  Any iterable of
+    K+1 RatFunction is stored as a tuple and must sum to the constant 1.
     """
 
     stencil: Stencil
@@ -254,13 +255,12 @@ class WeightFamily:
     weights: tuple[RatFunction, ...]
 
     def __post_init__(self) -> None:
-        _stencil(self.stencil)
-        if len(self.weights) != self.levels + 1:
-            raise ValidationError("weight family must hold levels + 1 members")
-        total = RatFunction.constant(0)
-        for w in self.weights:
-            total = total + w
-        if total != RatFunction.constant(1):
+        _check_subdivision(self.stencil, self.levels)
+        weights = _tuple(self.weights, "weight family must hold levels + 1 RatFunction members")
+        if len(weights) != self.levels + 1 or not all(isinstance(w, RatFunction) for w in weights):
+            raise ValidationError("weight family must hold levels + 1 RatFunction members")
+        object.__setattr__(self, "weights", weights)
+        if sum(weights, RatFunction.constant(0)) != RatFunction.constant(1):
             raise InvariantError(f"weights of {self.stencil} at {self.levels} levels do not sum to 1")
 
     def values_at(self, xi: Rational) -> tuple[Fraction, ...]:
@@ -306,56 +306,46 @@ def sigma_weights(s: Stencil, levels: int) -> WeightFamily:
     """Weight-functions sigma of the K-fold subdivision, fully reduced.
 
     sigma_k solves alpha_h,l = sum_k sigma_k * (alpha_h of substencil k at
-    that cell) over the first K+1 cells.  The denominators are den_0 = D_0,
-    den_K = D_(K-1) and den_k = D_(k-1) D_k, with D_j the leftmost alpha_h
-    of substencil j: on M'+1 cells it is (-1)^M' P'(xi)/(M'+1)!, P(xi) =
-    prod_l (xi - l - 1/2) over the right faces of the cells, so by Rolle's
-    theorem no cell interface is a root.  No basis is built: sigma at the
-    interface xi = t + 1/2 is `sigma_values_at_half` of the window shifted
-    by t, for t = 0, -1, 1, -2, ....  N_k = sigma_k den_k, of degree at
-    most deg den_k + K, is interpolated in u = 2 xi at the odd integers, in
-    integers.  By the solve, sigma_k D_0 ... D_k is a polynomial of degree
-    at most B_k = K + (k+1)(M-K), so N_k/den_k = sigma_k at B_k + 1
-    interfaces proves the weight; a miss is an InvariantError.  For K >= 2
-    weights 0 and 1 have no interface to spare, so the check that the
-    family sums to 1 is the one on D_0 and D_1.  Valid for M >= 2 and
-    1 <= levels <= M-1.
+    that cell) over the first K+1 cells.  The denominators are den_k =
+    D_(k-1) D_k with D_(-1) = D_K = 1, where D_j, the leftmost alpha_h of
+    substencil j, on M'+1 cells is (-1)^M' P'(xi)/(M'+1)!, P(xi) = prod_l
+    (xi - l - 1/2) over the right faces of the cells, so by Rolle's theorem
+    no cell interface is a root.  No basis is built: sigma at the interface
+    xi = t + 1/2 is `sigma_values_at_half` of the window shifted by t, for
+    t = 0, -1, 1, -2, ....  Every N_k = sigma_k den_k has degree at most
+    deg den_k + K, so all of them are interpolated in u = 2 xi at the same
+    first max_k deg den_k + K + 1 odd integers, in integers.  By the solve,
+    sigma_k D_0 ... D_k and N_k D_0 ... D_k / den_k are polynomials of
+    degree at most B_K = K + (K+1)(M-K) for every k, so their agreement at
+    B_K + 1 interfaces proves each weight: every weight is checked at every
+    sampled interface past the fitted ones, and a miss is an InvariantError.
+    Valid for M >= 2 and 1 <= levels <= M-1.
     """
     _check_subdivision(s, levels)
     width = s.m - levels
-    # B_K + 1 interfaces, the most any certificate reads
+    # the B_K + 1 interfaces of the certificate
     shifts = [(-1) ** i * ((i + 1) // 2) for i in range(levels + (levels + 1) * width + 1)]
     nodes = [2 * t + 1 for t in shifts]
     values = [sigma_values_at_half(Stencil(s.m_minus + t, s.m_plus - t), levels) for t in shifts]
 
-    cards = {}
-
-    def fit(vals) -> tuple[list[int], int]:
-        # weights with equal degree bounds share their nodes and cardinals
-        n = len(vals)
-        if n not in cards:
-            cards[n] = _cardinals(nodes[:n])
-        return _interpolate(cards[n], vals)
-
-    factors = []
+    # D_(-1) = 1, D_0 .. D_(K-1), D_K = 1
+    factors = [[1]]
     for j in range(levels):
         # P'(u) with P(u) = prod (u - 2l - 1) over the cells l of substencil j
         faces = _node_poly(2 * l + 1 for l in substencil(s, levels, j).offsets())
         factors.append(_positive_primitive([m * c for m, c in enumerate(faces)][1:]))
-    at_nodes = [[_homogeneous_eval(d, u, 1) for u in nodes] for d in factors]
-    polys = [_in_xi(d, 1) for d in factors]
-    # each denominator with its values at the nodes
-    dens = [(polys[0], at_nodes[0])]
-    for a, b, at_a, at_b in zip(polys, polys[1:], at_nodes, at_nodes[1:]):
-        dens.append((a * b, list(map(mul, at_a, at_b))))
-    dens.append((polys[-1], at_nodes[-1]))
+    factors.append([1])
+    # each factor, then each denominator D_(k-1) D_k, with its values at the nodes
+    pairs = [(_in_xi(d, 1), [_homogeneous_eval(d, u, 1) for u in nodes]) for d in factors]
+    dens = [(a * b, list(map(mul, x, y))) for (a, x), (b, y) in zip(pairs, pairs[1:])]
 
+    # the first n interfaces fit every N_k, the rest certify every weight
+    n = max(den.degree for den, _ in dens) + levels + 1
+    cards = _cardinals(nodes[:n])
     weights = []
     for k, (den, den_at) in enumerate(dens):
-        # deg den_k + K + 1 nodes fit N_k; nodes n .. B_k are the certificate
-        n = den.degree + levels + 1
-        num, scale = fit([v[k] * d for v, d in zip(values[:n], den_at)])
-        for i in range(n, levels + (k + 1) * width + 1):
+        num, scale = _interpolate(cards, [v[k] * d for v, d in zip(values[:n], den_at)])
+        for i in range(n, len(nodes)):
             p, q = values[i][k].as_integer_ratio()
             if _homogeneous_eval(num, nodes[i], 1) * q != p * scale * den_at[i]:
                 raise InvariantError(
@@ -501,6 +491,9 @@ class SmoothnessForm:
     face_centered: bool = False
 
     def __post_init__(self) -> None:
+        _stencil(self.stencil)
+        if not isinstance(self.matrix, CoeffTable):
+            raise ValidationError(f"expected a CoeffTable, got {type(self.matrix).__name__}")
         n = self.stencil.m + 1
         if self.matrix.rows != n or self.matrix.cols != n:
             raise ValidationError("smoothness matrix shape must match the stencil")

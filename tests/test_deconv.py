@@ -63,7 +63,7 @@ class TestTau:
             tau(bad)
 
     def test_cold_calls_fill_memos_without_deep_recursion(self):
-        # tau and the Stirling columns are filled bottom-up, so a fresh
+        # tau and the Stirling rows are filled bottom-up, so a fresh
         # process answers deep indices under a tiny recursion limit
         script = (
             "import sys\n"

@@ -480,6 +480,26 @@ class TestSubstencilWeights:
         with pytest.raises(InvariantError):
             WeightFamily(Stencil(1, 1), 1, (one, one))
 
+    def test_family_members_must_be_rational_functions(self):
+        with pytest.raises(ValidationError, match="RatFunction members"):
+            WeightFamily(Stencil(2, 2), 1, (1, 0))
+
+    def test_family_weights_must_be_iterable(self):
+        with pytest.raises(ValidationError, match="RatFunction members"):
+            WeightFamily(Stencil(2, 2), 1, 5)
+
+    @pytest.mark.parametrize("levels", [True, 0, 4, F(1)], ids=repr)
+    def test_family_level_must_be_a_subdivision_level(self, levels):
+        one, zero = RatFunction.constant(1), RatFunction.constant(0)
+        with pytest.raises(ValidationError):
+            WeightFamily(Stencil(2, 2), levels, (one, zero))
+
+    def test_family_weights_are_stored_as_a_tuple(self):
+        w = RatFunction.constant(F(1, 3))
+        family = WeightFamily(Stencil(1, 1), 1, [w, RatFunction.constant(1) - w])
+        assert family.weights == (w, RatFunction.constant(F(2, 3)))
+        assert hash(family) is not None
+
     def test_values_sum_to_one_off_the_face(self):
         family = sigma_weights(Stencil(2, 2), 2)
         for xi in (F(0), F(1, 4), F(-3, 2), F(7, 3)):
@@ -687,8 +707,8 @@ class TestInterfaceRoute:
         assert family == sigma_weights_symbolic_oracle(s, levels)
 
     def test_a_wrong_value_past_the_fitted_nodes_fails_the_certificate(self, monkeypatch):
-        # M = 5, K = 2: the end weight 2 is fitted on the first 6 interfaces
-        # and certified on interfaces 6 .. 11, t = -3, 3, -4, 4, -5, -6
+        # M = 5, K = 2: every weight is fitted on the first 9 interfaces
+        # and certified on interfaces 9 .. 11, t = -5, 5, -6
         s, levels = Stencil(-13, 18), 2
         solve = weno.sigma_values_at_half
 
@@ -704,6 +724,29 @@ class TestInterfaceRoute:
         assert str(exc.value) == (
             "interface certificate: weight 2 of (-13,18) at 2 levels misses its value at xi = -9/2"
         )
+        monkeypatch.undo()
+        assert sigma_weights(s, levels) == sigma_weights_symbolic_oracle(s, levels)
+
+    @pytest.mark.parametrize(
+        "s, levels", [(Stencil(2, 3), 2), (Stencil(3, 3), 3), (Stencil(4, 5), 4)], ids=str
+    )
+    def test_a_wrong_first_factor_fails_the_certificate(self, monkeypatch, s, levels):
+        # D_0 built on the faces of cells one to the right: the weights then
+        # sum to 1 nowhere, but the certificate of weight 0 catches it first
+        build = weno._node_poly
+        calls = []
+
+        def shifted(nodes):
+            nodes = list(nodes)
+            calls.append(nodes)
+            return build([u + 2 for u in nodes] if len(calls) == 1 else nodes)
+
+        monkeypatch.setattr(weno, "_node_poly", shifted)
+        sigma_weights.cache_clear()
+        with pytest.raises(InvariantError) as exc:
+            sigma_weights(s, levels)
+        assert str(exc.value).startswith(f"interface certificate: weight 0 of {s} at {levels} levels ")
+        assert len(calls) == levels
         monkeypatch.undo()
         assert sigma_weights(s, levels) == sigma_weights_symbolic_oracle(s, levels)
 
@@ -860,6 +903,14 @@ class TestSmoothnessForm:
             SmoothnessForm(Stencil(1, 0), CoeffTable.of([[0, 1], [-1, 0]]))
         with pytest.raises(InvariantError):
             SmoothnessForm(Stencil(1, 0), CoeffTable.identity(2))
+
+    def test_construction_needs_a_stencil(self):
+        with pytest.raises(ValidationError, match="expected a Stencil, got str"):
+            SmoothnessForm("x", CoeffTable.identity(2))
+
+    def test_construction_needs_a_coefficient_table(self):
+        with pytest.raises(ValidationError, match="expected a CoeffTable, got list"):
+            SmoothnessForm(Stencil(0, 0), [[0]])
 
     def test_value_length_validation(self):
         form = beta_form(Stencil(1, 1))

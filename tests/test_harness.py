@@ -131,6 +131,15 @@ class TestSampleSet:
         with pytest.raises(ValidationError):
             SampleSet(Stencil(1, 1), 0.0, 0.5, (1.0, 2.0))
 
+    def test_values_must_be_iterable(self):
+        with pytest.raises(ValidationError, match="samples must be a sequence"):
+            SampleSet(Stencil(2, 2), 0.0, 0.1, 5)
+
+    def test_list_values_are_stored_as_a_tuple(self):
+        samples = SampleSet(Stencil(0, 1), 0.0, 0.5, [1.0, 2.0])
+        assert samples.values == (1.0, 2.0)
+        assert hash(samples) == hash(SampleSet(Stencil(0, 1), 0.0, 0.5, (1.0, 2.0)))
+
     def test_finite_validation(self):
         with pytest.raises(ValidationError):
             SampleSet(Stencil(0, 1), 0.0, 0.5, (1.0, math.nan))

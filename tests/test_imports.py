@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used there or exported."""
+"""Every name a module of the package imports is used there or exported,
+and every private module-level name is referenced outside its definition."""
 
 import ast
 from pathlib import Path
@@ -53,6 +54,48 @@ def exported_names(tree: ast.Module) -> set[str]:
     return set()
 
 
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    # module-level functions, classes and constants named with one leading
+    # underscore, each with the index of the statement that defines it
+    out = {}
+    for i, node in enumerate(tree.body):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        out.update((name, i) for name in names if name.startswith("_") and not name.startswith("__"))
+    return out
+
+
+def referenced_names(node: ast.AST) -> set[str]:
+    # names read as variables, also in quoted annotations, or as attributes
+    trees = [node, *string_annotations(node)]
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for t in trees
+        for n in ast.walk(t)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) or isinstance(n, ast.Attribute)
+    }
+
+
+def unreferenced_private_names(trees: dict[str, ast.Module]) -> dict[str, str]:
+    # a private name counts as used when a top-level statement other than
+    # its own definition reads it, in any module
+    refs = {
+        (mod, i): referenced_names(node) for mod, tree in trees.items() for i, node in enumerate(tree.body)
+    }
+    dead = {}
+    for mod, tree in trees.items():
+        for name, i in private_definitions(tree).items():
+            if not any(name in names for key, names in refs.items() if key != (mod, i)):
+                dead[name] = f"{mod}:{tree.body[i].lineno}"
+    return dead
+
+
 def test_the_scan_covers_the_package():
     assert {p.name for p in MODULES} >= {"__init__.py", "exact.py", "weno.py", "cli.py"}
 
@@ -70,3 +113,16 @@ def test_a_dead_import_is_caught():
     assert set(imported_names(tree)) - read_names(tree) - exported_names(tree) == set()
     tree = ast.parse('from typing import Union, Sequence\nx: Sequence = ()\nd = {}\ny = d["lambda"]\n')
     assert set(imported_names(tree)) - read_names(tree) == {"Union"}
+
+
+def test_every_private_name_is_referenced():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+    assert unreferenced_private_names(trees) == {}
+
+
+def test_a_dead_private_helper_is_caught():
+    used = ast.parse("_LIMIT = 3\n\ndef _step(n):\n    return n + _LIMIT\n")
+    caller = ast.parse("from .a import _step\n\ndef run():\n    return _step(1)\n")
+    assert unreferenced_private_names({"a.py": used, "b.py": caller}) == {}
+    dead = ast.parse("def _walk(n):\n    return _walk(n - 1) if n else 0\n_TABLE: dict = {}\n")
+    assert unreferenced_private_names({"a.py": dead}) == {"_walk": "a.py:1", "_TABLE": "a.py:3"}

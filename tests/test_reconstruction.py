@@ -73,6 +73,16 @@ class TestPairMaps:
         with pytest.raises(ValidationError):
             pair_f_from_h(RatPoly.of([1, 2]))
 
+    @pytest.mark.parametrize("bad", [5, None, F(1, 2)], ids=repr)
+    def test_rejects_a_non_iterable(self, bad):
+        for pair_map in (pair_h_from_f, pair_f_from_h):
+            with pytest.raises(ValidationError, match="expected a coefficient list"):
+                pair_map(bad)
+
+    def test_takes_a_generator(self):
+        assert pair_h_from_f(c for c in [F(1, 12), 0, 1]) == [0, 0, 1]
+        assert pair_f_from_h(c for c in [0, 0, 1]) == [F(1, 12), 0, 1]
+
     def test_one_map_serves_both_directions(self, monkeypatch):
         # the two directions differ only in their weights: the forward
         # 1/(4^k (2k+1)!) and tau_{2k}
@@ -134,6 +144,13 @@ class TestPairCoeffs:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValidationError):
             PairCoeffs(c_f=(F(1),), c_h=(F(1), F(0)))
+
+    def test_rejects_a_non_iterable(self):
+        for build in (PairCoeffs.from_f, PairCoeffs.from_h):
+            with pytest.raises(ValidationError, match="expected a coefficient list"):
+                build(3)
+        with pytest.raises(ValidationError):
+            PairCoeffs(c_f=None, c_h=(F(1),))
 
 
 class TestMatrixRoute:
