@@ -1,9 +1,11 @@
 """Exact rational scalars, polynomials, and rational functions.
 
 Everything this package computes is a rational number or a polynomial with
-rational coefficients, so the core algebra runs on `fractions.Fraction` and
-every identity can be checked with exact equality.  Floating point appears
-only in the numerical harness.
+rational coefficients, held as canonical `fractions.Fraction`s, so every
+identity can be checked with exact equality.  The kernels (polynomial
+products, division, evaluation, gcd and Sturm chains) put their operands
+over one common denominator, sum in integers, and form a `Fraction` only
+for each result.  Floating point appears only in the numerical harness.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, wraps
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 __all__ = [
@@ -179,10 +182,15 @@ class RatPoly:
         if isinstance(other, RatPoly):
             if self.is_zero or other.is_zero:
                 return RatPoly()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
+            # one integer convolution of the numerators over da * db:
+            # out[k] = sum_i a[i] b[k - i], a dot product with b reversed
+            a, da = _common_denominator(self.coeffs)
+            b, db = _common_denominator(other.coeffs)
+            rb, den, n = b[::-1], da * db, len(b) - 1
+            out = []
+            for k in range(len(a) + n):
+                lo, hi = max(0, k - n), min(k, len(a) - 1) + 1
+                out.append(Fraction(sum(map(mul, a[lo:hi], rb[n - k + lo :])), den))
             return RatPoly(tuple(out))
         scalar = _rat(other)
         return RatPoly(tuple(c * scalar for c in self.coeffs))

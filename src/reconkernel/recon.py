@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from operator import mul
 from typing import Sequence, Union
 
 from .deconv import deconv_forward_coeff, deconv_inverse_coeff
@@ -26,6 +27,7 @@ from .exact import (
     RatPoly,
     Rational,
     ValidationError,
+    _common_denominator,
     _memo,
     _rat,
     _tuple,
@@ -56,15 +58,14 @@ def _coeff_tuple(c: CoeffList) -> tuple[Fraction, ...]:
 
 
 def _pair_map(c: CoeffList, weight) -> list[Fraction]:
-    # c_out[m] = (1/m!) sum_k w_k (m+2k)! c[m+2k] over the nonzero c, w_k = weight(k)
-    cs = _coeff_tuple(c)
-    n = len(cs)
-    w = [weight(k) for k in range((n + 1) // 2)]
-    out = []
-    for m in range(n):
-        terms = (w[(j - m) // 2] * factorial(j) * cs[j] for j in range(m, n, 2) if cs[j])
-        out.append(sum(terms, Fraction(0)) / factorial(m))
-    return out
+    # c_out[m] = (1/m!) sum_k w_k (m+2k)! c[m+2k], w_k = weight(k), summed in
+    # integers: c = N/den and w = W/dw over common denominators, N[j] scaled
+    # by j!, and one Fraction per output coefficient
+    nums, den = _common_denominator(_coeff_tuple(c))
+    n = len(nums)
+    ws, dw = _common_denominator([weight(k) for k in range((n + 1) // 2)])
+    scaled = [a * factorial(j) for j, a in enumerate(nums)]
+    return [Fraction(sum(map(mul, ws, scaled[m::2])), den * dw * factorial(m)) for m in range(n)]
 
 
 def pair_f_from_h(c_h: CoeffList) -> list[Fraction]:

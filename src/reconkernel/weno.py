@@ -185,6 +185,17 @@ class ErrorExpansion:
     kind: str
     terms: tuple[tuple[int, RatPoly], ...]
 
+    def __post_init__(self) -> None:
+        _stencil(self.stencil)
+        _expansion_kind(self.kind)
+        message = "expansion terms must be (order, RatPoly) pairs"
+        terms = tuple(_tuple(t, message) for t in _tuple(self.terms, message))
+        for t in terms:
+            if len(t) != 2 or not isinstance(t[1], RatPoly):
+                raise ValidationError(message)
+            _int(t[0], message)
+        object.__setattr__(self, "terms", terms)
+
     @property
     def orders(self) -> tuple[int, ...]:
         return tuple(n for n, _ in self.terms)
@@ -204,11 +215,15 @@ _EXPANSION_BUILDERS = {
 }
 
 
+def _expansion_kind(kind: object) -> None:
+    if not isinstance(kind, str) or kind not in _EXPANSION_BUILDERS:
+        raise ValidationError(f"kind must be one of {sorted(_EXPANSION_BUILDERS)}")
+
+
 def error_expansion(s: Stencil, kind: str, n_max: "int | None" = None) -> ErrorExpansion:
     """All error polynomials of one kind through order n_max (default M+5)."""
     _stencil(s)
-    if not isinstance(kind, str) or kind not in _EXPANSION_BUILDERS:
-        raise ValidationError(f"kind must be one of {sorted(_EXPANSION_BUILDERS)}")
+    _expansion_kind(kind)
     if n_max is None:
         n_max = s.m + DEFAULT_MARGIN
     _require_expansion_order(s, n_max)
@@ -492,6 +507,7 @@ class SmoothnessForm:
 
     def __post_init__(self) -> None:
         _stencil(self.stencil)
+        _face_flag(self.face_centered)
         if not isinstance(self.matrix, CoeffTable):
             raise ValidationError(f"expected a CoeffTable, got {type(self.matrix).__name__}")
         n = self.stencil.m + 1
@@ -515,6 +531,11 @@ class SmoothnessForm:
         return acc
 
 
+def _face_flag(face_centered: object) -> None:
+    if not isinstance(face_centered, bool):
+        raise ValidationError(f"face_centered must be a bool, got {type(face_centered).__name__}")
+
+
 def beta_form(s: Stencil, face_centered: bool = False) -> SmoothnessForm:
     """The smoothness-indicator matrix of a stencil.
 
@@ -530,6 +551,7 @@ def beta_form(s: Stencil, face_centered: bool = False) -> SmoothnessForm:
     `Fraction` at the end.
     """
     _stencil(s)
+    _face_flag(face_centered)
     if s.m < 1:
         raise ValidationError("smoothness forms need at least two cells")
     # the interval is [lo, hi] / scale with integer ends

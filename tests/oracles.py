@@ -12,10 +12,11 @@ weight-functions also by the triangular solve in `RatFunction` arithmetic
 on the basis polynomials, which the package's interpolation at the cell
 interfaces replaced, and the pole census by Sturm chains in `Fraction`s,
 rebuilt at every bisection step.
-Polynomial division, evaluation and the sliding average are also reached
-by the `Fraction` loops that the package's integer kernels replaced: the
-elimination loop, Horner's rule, and the antiderivative shifted by +-1/2,
-and matrix products by the dense `Fraction` sum.
+Polynomial division, evaluation, products and the sliding average are also
+reached by the `Fraction` loops that the package's integer kernels replaced:
+the elimination loop, Horner's rule, the schoolbook product, and the
+antiderivative shifted by +-1/2; the pair maps by their term-by-term
+`Fraction` sum, and matrix products by the dense `Fraction` sum.
 The inverse Vandermonde matrix is also reached by the binomial shift of the
 Stirling closed form, the error generators nu by the moments of its rows
 against the powers of the nodes, and the local-derivative error polynomials
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import factorial, gcd, lcm
-from typing import Iterable
+from typing import Iterable, Union
 
 from reconkernel.deconv import _index, tau
 from reconkernel.exact import (
@@ -48,7 +49,7 @@ from reconkernel.exact import (
     poly_definite_integral,
     square_free_part,
 )
-from reconkernel.recon import basis, face_coeffs
+from reconkernel.recon import _coeff_tuple, basis, face_coeffs
 from reconkernel.vandermonde import (
     CoeffTable,
     Stencil,
@@ -83,6 +84,35 @@ def poly_divmod_oracle(a: RatPoly, b: RatPoly) -> tuple[RatPoly, RatPoly]:
         for i, c in enumerate(b.coeffs):
             r[k + i] -= t * c
     return RatPoly(tuple(q)), RatPoly(tuple(r[:d]))
+
+
+def poly_mul_fraction_oracle(self: RatPoly, other: "Union[RatPoly, Rational]") -> RatPoly:
+    """The product by the schoolbook `Fraction` loop; a drop-in for `RatPoly.__mul__`."""
+    if isinstance(other, RatPoly):
+        if self.is_zero or other.is_zero:
+            return RatPoly()
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return RatPoly(tuple(out))
+    scalar = _rat(other)
+    return RatPoly(tuple(c * scalar for c in self.coeffs))
+
+
+def pair_map_fraction_oracle(c, weight) -> list[Fraction]:
+    """The pair map by its term-by-term `Fraction` sum; a drop-in for `recon._pair_map`.
+
+    c_out[m] = (1/m!) sum_k w_k (m+2k)! c[m+2k] over the nonzero c, w_k = weight(k).
+    """
+    cs = _coeff_tuple(c)
+    n = len(cs)
+    w = [weight(k) for k in range((n + 1) // 2)]
+    out = []
+    for m in range(n):
+        terms = (w[(j - m) // 2] * factorial(j) * cs[j] for j in range(m, n, 2) if cs[j])
+        out.append(sum(terms, Fraction(0)) / factorial(m))
+    return out
 
 
 def poly_eval_oracle(p, x: Rational) -> Fraction:

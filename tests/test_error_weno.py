@@ -36,6 +36,7 @@ from reconkernel.vandermonde import (
 )
 from reconkernel.weno import (
     DEFAULT_MARGIN,
+    ErrorExpansion,
     Lambda,
     PoleReport,
     SmoothnessForm,
@@ -266,6 +267,33 @@ class TestErrorExpansionWrapper:
     def test_rejects_exhausted_order(self):
         with pytest.raises(ValidationError):
             error_expansion(Stencil(1, 1), "f", n_max=2)
+
+    def test_construction_needs_iterable_terms(self):
+        with pytest.raises(ValidationError, match="expansion terms must be"):
+            ErrorExpansion(Stencil(1, 1), "h", 5)
+
+    def test_construction_needs_a_stencil(self):
+        with pytest.raises(ValidationError, match="expected a Stencil, got str"):
+            ErrorExpansion("x", "h", ())
+
+    def test_construction_needs_a_known_kind(self):
+        with pytest.raises(ValidationError, match="kind must be one of"):
+            ErrorExpansion(Stencil(1, 1), "zz", ())
+
+    @pytest.mark.parametrize(
+        "term",
+        [(3, [1, 2]), (True, RatPoly.of([1])), (F(3), RatPoly.of([1])), (3,), 7, "ab"],
+        ids=repr,
+    )
+    def test_every_term_is_an_order_and_a_polynomial(self, term):
+        with pytest.raises(ValidationError, match="expansion terms must be"):
+            ErrorExpansion(Stencil(1, 1), "h", (term,))
+
+    def test_terms_are_stored_as_a_tuple(self):
+        exp = error_expansion(Stencil(1, 1), "h", n_max=4)
+        again = ErrorExpansion(exp.stencil, "h", [[n, p] for n, p in exp.terms])
+        assert again.terms == exp.terms and isinstance(again.terms, tuple)
+        assert again == exp and again.orders == (3, 4)
 
 
 def solve_consistent_system(rows, rhs):
@@ -911,6 +939,16 @@ class TestSmoothnessForm:
     def test_construction_needs_a_coefficient_table(self):
         with pytest.raises(ValidationError, match="expected a CoeffTable, got list"):
             SmoothnessForm(Stencil(0, 0), [[0]])
+
+    @pytest.mark.parametrize("flag", ["no", 1, 0, None], ids=repr)
+    def test_construction_needs_a_bool_face_flag(self, flag):
+        with pytest.raises(ValidationError, match="face_centered must be a bool"):
+            SmoothnessForm(Stencil(1, 1), beta_form(Stencil(1, 1)).matrix, flag)
+
+    @pytest.mark.parametrize("flag", ["no", 1, 0, None], ids=repr)
+    def test_beta_form_needs_a_bool_face_flag(self, flag):
+        with pytest.raises(ValidationError, match="face_centered must be a bool"):
+            beta_form(Stencil(1, 1), flag)
 
     def test_value_length_validation(self):
         form = beta_form(Stencil(1, 1))

@@ -31,6 +31,7 @@ from oracles import (
     poly_divmod_oracle,
     poly_eval_oracle,
     poly_gcd_subresultant_oracle,
+    poly_mul_fraction_oracle,
     poly_sliding_average_oracle,
     series_divide,
     taylor_shift,
@@ -553,3 +554,49 @@ class TestIntegerKernels:
     @settings(max_examples=200)
     def test_sliding_average_matches_the_shifted_antiderivative(self, p):
         assert poly_sliding_average(p) == poly_sliding_average_oracle(p)
+
+    def test_product_adds_and_multiplies_no_fractions(self, monkeypatch):
+        a, b = RatPoly.of([F(1, 2), 0, F(-7, 3), 5]), RatPoly.of([F(-2, 9), F(4, 5)])
+        expected = poly_mul_fraction_oracle(a, b)
+
+        def forbidden(*args):
+            raise AssertionError("the polynomial product ran Fraction arithmetic")
+
+        for name in ("__add__", "__radd__", "__mul__", "__rmul__", "__truediv__"):
+            monkeypatch.setattr(F, name, forbidden)
+        assert a * b == expected
+
+    @given(wide_polys, wide_polys)
+    @settings(max_examples=300)
+    def test_product_matches_the_schoolbook_loop(self, a, b):
+        assert a * b == poly_mul_fraction_oracle(a, b) == b * a
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([], []),
+            ([], [F(1, 3), 2]),
+            ([F(-5, 7)], []),
+            ([F(-5, 7)], [F(3, 4)]),
+            ([F(-5, 7)], [1, 0, 0, F(-2, 9)]),
+            ([0, 0, 1], [0, 1]),
+            ([1, 0, 0, 0, -1], [1, 0, 0, 0, 1]),
+            ([F(1, 2), F(-1, 3), F(1, 4)], [F(-6, 5), F(7, 10), F(9, 14)]),
+            ([F(10**30, 7), -(10**20)], [F(-1, 10**25), F(3, 11)]),
+        ],
+        ids=repr,
+    )
+    def test_product_edge_cases(self, a, b):
+        a, b = RatPoly.of(a), RatPoly.of(b)
+        product = a * b
+        assert product == poly_mul_fraction_oracle(a, b)
+        assert product.degree == (-1 if a.is_zero or b.is_zero else a.degree + b.degree)
+
+    def test_product_by_a_scalar_refuses_floats(self):
+        p = RatPoly.of([1, F(1, 2)])
+        for bad in (1.5, True):
+            with pytest.raises(ValidationError):
+                p * bad
+            with pytest.raises(ValidationError):
+                bad * p
+        assert p * 2 == 2 * p == RatPoly.of([2, 1]) == poly_mul_fraction_oracle(p, 2)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reconkernel
-from reconkernel import deconv, exact, harness, recon, weno
+from reconkernel import deconv, exact, harness, recon, vandermonde, weno
 from reconkernel.exact import (
     RatPoly,
     ValidationError,
@@ -23,13 +23,15 @@ from reconkernel.recon import (
     pair_h_from_f,
     poly_sliding_average,
 )
-from reconkernel.vandermonde import CoeffTable, Stencil
+from reconkernel.vandermonde import CoeffTable, Stencil, inv_vandermonde
 from reconkernel.cli import main
 from oracles import (
     deconv_matrix,
     deconv_matrix_inverse,
     face_coeffs_shu_oracle,
     matmul,
+    pair_map_fraction_oracle,
+    poly_mul_fraction_oracle,
     poly_sliding_average_oracle,
     unitriangular_inverse,
 )
@@ -128,6 +130,90 @@ class TestPairMaps:
             assert getattr(reconkernel, name) is not None, name
         assert reconkernel.poly_sliding_average is recon.poly_sliding_average
         assert "poly_sliding_average" not in exact.__all__
+
+
+# zeros anywhere, trailing ones included, among mixed denominators and signs
+sparse_coeff_lists = st.lists(st.one_of(rationals, st.just(F(0))), max_size=13)
+PAIR_WEIGHTS = (deconv.deconv_forward_coeff, deconv.deconv_inverse_coeff)
+
+
+class TestIntegerPairMap:
+    """The pair map and the polynomial product in integers, against the Fraction loops they replaced."""
+
+    def test_pair_maps_add_and_multiply_no_fractions(self, monkeypatch):
+        c = [F(3, 4), F(-1, 6), 0, F(5, 2), F(1, 7)]
+        expected = [pair_map_fraction_oracle(c, w) for w in PAIR_WEIGHTS]
+
+        def forbidden(*args):
+            raise AssertionError("the pair map ran Fraction arithmetic")
+
+        for name in ("__add__", "__radd__", "__mul__", "__rmul__", "__truediv__"):
+            monkeypatch.setattr(F, name, forbidden)
+        assert [pair_f_from_h(c), pair_h_from_f(c)] == expected
+
+    @given(sparse_coeff_lists)
+    @settings(max_examples=200)
+    def test_matches_the_fraction_sum_both_ways(self, c):
+        for weight in PAIR_WEIGHTS:
+            out = recon._pair_map(c, weight)
+            assert out == pair_map_fraction_oracle(c, weight)
+            assert len(out) == len(c)
+
+    @pytest.mark.parametrize(
+        "c",
+        [
+            [],
+            [0],
+            [0, 0, 0, 0],
+            [F(-7, 3)],
+            [1, 0, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0, F(-2, 5)],
+            [F(1, 2), 0, 0, F(-3, 4), 0, F(5, 6), 0],
+            [F(-1, 9), F(7, 10), F(-11, 12), F(13, 14)],
+            [F(10**40, 3), F(-1, 10**30), 0, F(7, 2**50)],
+        ],
+        ids=repr,
+    )
+    def test_edge_cases_both_ways(self, c):
+        for pair_map, weight in ((pair_f_from_h, PAIR_WEIGHTS[0]), (pair_h_from_f, PAIR_WEIGHTS[1])):
+            out = pair_map(c)
+            assert out == pair_map_fraction_oracle(c, weight)
+            assert len(out) == len(c)
+        assert pair_h_from_f(pair_f_from_h(c)) == c
+
+    @pytest.mark.parametrize(
+        "s", [Stencil(1, 1), Stencil(3, 4), Stencil(10, 10), Stencil(30, 30), Stencil(0, 60)], ids=str
+    )
+    def test_every_cardinal_column_both_ways(self, s):
+        vinv = inv_vandermonde(s)
+        for pos in range(s.m + 1):
+            column = [vinv[m, pos] for m in range(s.m + 1)]
+            assert pair_h_from_f(column) == pair_map_fraction_oracle(column, deconv.deconv_inverse_coeff)
+            assert pair_f_from_h(column) == pair_map_fraction_oracle(column, deconv.deconv_forward_coeff)
+
+    def test_error_expansions_match_the_fraction_loops(self, monkeypatch):
+        windows = [Stencil(1, 1), Stencil(0, 4), Stencil(3, 4), Stencil(-2, 9), Stencil(6, 6)]
+        kinds = ("h", "lambda-h")
+        expected = [weno.error_expansion(s, kind) for s in windows for kind in kinds]
+        calls = {"pair map": 0, "product": 0}
+
+        def pair_map(c, weight):
+            calls["pair map"] += 1
+            return pair_map_fraction_oracle(c, weight)
+
+        def product(a, b):
+            calls["product"] += 1
+            return poly_mul_fraction_oracle(a, b)
+
+        monkeypatch.setattr(recon, "_pair_map", pair_map)
+        monkeypatch.setattr(RatPoly, "__mul__", product)
+        monkeypatch.setattr(RatPoly, "__rmul__", product)
+        for module in (deconv, vandermonde, recon, weno):
+            for memoized in vars(module).values():
+                if hasattr(memoized, "cache_clear"):
+                    memoized.cache_clear()
+        assert [weno.error_expansion(s, kind) for s in windows for kind in kinds] == expected
+        assert calls["pair map"] > 0 and calls["product"] > 0
 
 
 class TestPairCoeffs:
