@@ -54,11 +54,8 @@ from .recon import (
 from .vandermonde import (
     CoeffTable,
     Stencil,
-    comb0,
     inv_vandermonde,
-    inv_vandermonde_left_aligned,
     nu,
-    stirling1_unsigned,
 )
 from .weno import (
     ErrorExpansion,
@@ -103,7 +100,6 @@ __all__ = [
     "basis",
     "beta_form",
     "cauchy_root_bound",
-    "comb0",
     "convergence_study",
     "deconv_forward_coeff",
     "deconv_inverse_coeff",
@@ -117,7 +113,6 @@ __all__ = [
     "g_tau_float",
     "halving_slope",
     "inv_vandermonde",
-    "inv_vandermonde_left_aligned",
     "lambda_f",
     "lambda_h",
     "mu_f",
@@ -137,7 +132,6 @@ __all__ = [
     "sigma_values_at_half",
     "sigma_weights",
     "square_free_part",
-    "stirling1_unsigned",
     "sturm_real_root_count",
     "substencil",
     "tau",

@@ -5,7 +5,8 @@ rational coefficients, held as canonical `fractions.Fraction`s, so every
 identity can be checked with exact equality.  The kernels (polynomial
 products, division, evaluation, gcd and Sturm chains) put their operands
 over one common denominator, sum in integers, and form a `Fraction` only
-for each result.  Floating point appears only in the numerical harness.
+for each result; the square-free part is the first entry of the Sturm
+chain.  Floating point appears only in the numerical harness.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "poly_definite_integral",
     "poly_eval",
     "poly_gcd",
+    "square_free_part",
     "sturm_real_root_count",
 ]
 
@@ -476,11 +478,12 @@ def cauchy_root_bound(p: Union[RatPoly, Sequence[Rational]]) -> Fraction:
 
 
 def square_free_part(p: Union[RatPoly, Sequence[Rational]]) -> RatPoly:
-    """The monic polynomial with the same distinct roots as p, each simple."""
+    """Monic, with the distinct roots of p, each simple: the first entry of its Sturm chain."""
     p = as_poly(p)
     if p.is_zero:
         raise ValidationError("the zero polynomial has no square-free part")
-    return _cancel(p.derivative(), p)[1]
+    first = _int_sturm_chain(p)[0] if p.degree > 0 else [1]
+    return RatPoly.of(Fraction(c, first[-1]) for c in first)
 
 
 def sturm_real_root_count(
@@ -510,10 +513,19 @@ def _int_sturm_chain(p: RatPoly) -> list[list[int]]:
     """Sturm chain of the square-free part of a nonconstant p, in integers.
 
     Every entry is a positive multiple of its entry in the rational chain
-    p, p', -rem(p, p'), ..., so sign variations are those of that chain.
+    q, q', -rem(q, q'), ... of q = `square_free_part(p)`, so sign variations
+    are those of that chain.  The remainder sequence of p and p' ends in
+    their gcd: a constant makes it the chain, else p over the gcd (exact by
+    Gauss's lemma) starts one more.
     """
-    first = _int_coeffs(square_free_part(p))
-    return _remainder_sequence(first, _positive_primitive([m * c for m, c in enumerate(first)][1:]))
+    def sequence(a: list[int]) -> list[list[int]]:
+        a = a if a[-1] > 0 else [-c for c in a]
+        return _remainder_sequence(a, _positive_primitive([m * c for m, c in enumerate(a)][1:]))
+
+    seq = sequence(_int_coeffs(p))
+    if len(seq[-1]) > 1:
+        seq = sequence(_divmod_int(seq[0], seq[-1])[0])
+    return seq
 
 
 def _homogeneous_eval(coeffs: list[int], n: int, d: int) -> int:

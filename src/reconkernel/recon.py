@@ -163,14 +163,12 @@ def basis(s: Stencil) -> ReconstructionBasis:
         alpha_f.append(RatPoly.of(f_coeffs))
         alpha_h.append(RatPoly.of(pair_h_from_f(f_coeffs)))
 
-    one = RatPoly.constant(1)
     for family in (alpha_f, alpha_h):
         if any(p.degree != m_total for p in family):
             raise InvariantError(f"basis member of stencil {s} has wrong degree")
-        total = RatPoly()
-        for p in family:
-            total = total + p
-        if total != one:
+        # column m of the family over one denominator sums to den * delta_m0
+        nums, den = _common_denominator([c for p in family for c in p.coeffs])
+        if [sum(nums[m :: m_total + 1]) for m in range(m_total + 1)] != [den] + [0] * m_total:
             raise InvariantError(f"basis of stencil {s} does not sum to 1")
     return ReconstructionBasis(s, tuple(alpha_f), tuple(alpha_h))
 

@@ -1,4 +1,4 @@
-"""Stencils, Stirling numbers, and exact inverse Vandermonde matrices.
+"""Stencils and exact inverse Vandermonde matrices.
 
 A stencil (m_minus, m_plus) is the contiguous cell-index window
 {-m_minus, ..., m_plus} around a pivot cell.  The Vandermonde matrix of its
@@ -6,16 +6,13 @@ node offsets is inverted through its Lagrange cardinal polynomials: column j
 of the inverse is the node polynomial prod_k (x - x_k) divided by (x - x_j)
 and by the value of that quotient at x_j, all in integers.  The same node
 polynomial gives the error generators nu: the interpolant of x^k on the
-stencil is the remainder of x^k divided by it.  The closed form on the left-aligned
-window {0, ..., M}, from unsigned Stirling numbers of the first kind, stays
-public as an independent check.
+stencil is the remainder of x^k divided by it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
 from typing import Iterable, Sequence
 
 from .exact import RatPoly, Rational, ValidationError, _divmod_int, _homogeneous_eval, _int, _memo, _rat
@@ -23,11 +20,8 @@ from .exact import RatPoly, Rational, ValidationError, _divmod_int, _homogeneous
 __all__ = [
     "CoeffTable",
     "Stencil",
-    "comb0",
     "inv_vandermonde",
-    "inv_vandermonde_left_aligned",
     "nu",
-    "stirling1_unsigned",
     "vandermonde",
 ]
 
@@ -121,68 +115,12 @@ class CoeffTable:
         return [[str(c) for c in row] for row in self.entries]
 
 
-def comb0(n: int, k: int) -> int:
-    """Binomial coefficient, zero whenever the pair is out of range."""
-    _int(n, "binomial arguments must be integers")
-    _int(k, "binomial arguments must be integers")
-    if k < 0 or n < 0 or k > n:
-        return 0
-    return comb(n, k)
-
-
-@_memo
-def _stirling_row(n: int) -> tuple[int, ...]:
-    # [n, 0] .. [n, n]: the coefficients of x(x+1)...(x+n-1)
-    return tuple(_node_poly(range(0, -n, -1)))
-
-
-@_memo
-def stirling1_unsigned(n: int, k: int) -> int:
-    """Unsigned Stirling number of the first kind.
-
-    [n, k] is the coefficient of x^k in the rising factorial x(x+1)...(x+n-1);
-    it counts permutations of n elements with k cycles.  Out-of-range k
-    gives 0.  Row n is multiplied out factor by factor, so a cold call never
-    recurses.
-    """
-    _int(n, "Stirling indices must be nonnegative integers", lo=0)
-    _int(k, "Stirling indices must be nonnegative integers", lo=0)
-    if k > n:
-        return 0
-    return _stirling_row(n)[k]
-
-
 @_memo
 def vandermonde(s: Stencil) -> CoeffTable:
     """Vandermonde matrix of the stencil's node offsets: row l holds l^j."""
     _stencil(s)
     m = s.m
     return CoeffTable.of([[Fraction(ell**j) for j in range(m + 1)] for ell in s.offsets()])
-
-
-@_memo
-def inv_vandermonde_left_aligned(m: int) -> CoeffTable:
-    """Closed-form inverse of the Vandermonde matrix on the window {0, ..., m}.
-
-    Zero-based entry (i, j) is
-        (-1)^(i+j) * sum_{k=0}^{m} C(k, j) * [k, i] / k!
-    with [k, i] the unsigned Stirling numbers.
-    """
-    _int(m, "window size must be a nonnegative integer", lo=0)
-    rows = []
-    for i in range(m + 1):
-        row = []
-        for j in range(m + 1):
-            total = sum(
-                (
-                    Fraction(comb0(k, j) * stirling1_unsigned(k, i), factorial(k))
-                    for k in range(m + 1)
-                ),
-                Fraction(0),
-            )
-            row.append(total if (i + j) % 2 == 0 else -total)
-        rows.append(row)
-    return CoeffTable.of(rows)
 
 
 def _node_poly(nodes: Iterable[int]) -> list[int]:

@@ -18,13 +18,15 @@ the elimination loop, Horner's rule, the schoolbook product, and the
 antiderivative shifted by +-1/2; the pair maps by their term-by-term
 `Fraction` sum, and matrix products by the dense `Fraction` sum.
 The inverse Vandermonde matrix is also reached by the binomial shift of the
-Stirling closed form, the error generators nu by the moments of its rows
+Stirling closed form on {0, ..., M}, its Stirling numbers from the textbook
+recurrence, the error generators nu by the moments of its rows
 against the powers of the nodes, and the local-derivative error polynomials
 by polynomial powers: their brackets, and the Taylor expansion of every
 sample about the evaluation point in the cardinal basis.  The polynomial gcd
 is also reached by the integer subresultant remainder sequence, on the
 step-by-step pseudo-remainder that the package's integer long division
-replaced.
+replaced, and the square-free part by the rational quotient of p by that
+gcd of p and p'.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm
 from typing import Iterable, Union
 
 from reconkernel.deconv import _index, tau
@@ -42,21 +44,15 @@ from reconkernel.exact import (
     RatPoly,
     Rational,
     ValidationError,
+    _int,
     _int_coeffs,
     _rat,
     as_poly,
     cauchy_root_bound,
     poly_definite_integral,
-    square_free_part,
 )
 from reconkernel.recon import _coeff_tuple, basis, face_coeffs
-from reconkernel.vandermonde import (
-    CoeffTable,
-    Stencil,
-    comb0,
-    inv_vandermonde,
-    inv_vandermonde_left_aligned,
-)
+from reconkernel.vandermonde import CoeffTable, Stencil, inv_vandermonde
 from reconkernel.weno import (
     PoleReport,
     SmoothnessForm,
@@ -335,8 +331,53 @@ def deconv_matrix_inverse(m: int) -> CoeffTable:
 
 
 # ---------------------------------------------------------------------------
-# inverse Vandermonde matrices by the binomial shift
+# inverse Vandermonde matrices by the Stirling closed form and the binomial shift
 # ---------------------------------------------------------------------------
+
+
+def comb0(n: int, k: int) -> int:
+    """Binomial coefficient, zero whenever the pair is out of range."""
+    return comb(n, k) if 0 <= k <= n else 0
+
+
+#: Rows [n, 0], ..., [n, n] of the unsigned Stirling numbers, grown on demand.
+_STIRLING_ROWS = [(1,)]
+
+
+def stirling1_unsigned(n: int, k: int) -> int:
+    """Unsigned Stirling number of the first kind, from the textbook recurrence.
+
+    [n+1, k] = n [n, k] + [n, k-1], with [0, 0] = 1; out-of-range k gives 0.
+    Rows are added bottom-up, so a cold call never recurses.
+    """
+    _int(n, "Stirling indices must be nonnegative integers", lo=0)
+    _int(k, "Stirling indices must be nonnegative integers", lo=0)
+    while len(_STIRLING_ROWS) <= n:
+        j, prev = len(_STIRLING_ROWS) - 1, _STIRLING_ROWS[-1]
+        _STIRLING_ROWS.append(tuple(j * a + b for a, b in zip(prev + (0,), (0,) + prev)))
+    return _STIRLING_ROWS[n][k] if k <= n else 0
+
+
+@cache
+def inv_vandermonde_left_aligned(m: int) -> CoeffTable:
+    """Closed-form inverse of the Vandermonde matrix on the window {0, ..., m}.
+
+    Zero-based entry (i, j) is
+        (-1)^(i+j) * sum_{k=0}^{m} C(k, j) * [k, i] / k!
+    with [k, i] the unsigned Stirling numbers.
+    """
+    _int(m, "window size must be a nonnegative integer", lo=0)
+    rows = []
+    for i in range(m + 1):
+        row = []
+        for j in range(m + 1):
+            total = sum(
+                (Fraction(comb0(k, j) * stirling1_unsigned(k, i), factorial(k)) for k in range(m + 1)),
+                Fraction(0),
+            )
+            row.append(total if (i + j) % 2 == 0 else -total)
+        rows.append(row)
+    return CoeffTable.of(rows)
 
 
 def inv_vandermonde_shift_oracle(s: Stencil) -> CoeffTable:
@@ -628,12 +669,18 @@ def _sign_variations(chain: list[RatPoly], x: Fraction) -> int:
     return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
 
 
+def square_free_part_oracle(p) -> RatPoly:
+    """p over its subresultant gcd with p', by the rational divmod, made monic."""
+    p = as_poly(p)
+    return poly_divmod_oracle(p, poly_gcd_subresultant_oracle(p, p.derivative()))[0].monic()
+
+
 def sturm_count_oracle(p, a: Rational, b: Rational) -> int:
     """Distinct real roots of p in (a, b] from the rational Sturm chain."""
     p = as_poly(p)
     if p.degree == 0:
         return 0
-    chain = _sturm_chain(square_free_part(p))
+    chain = _sturm_chain(square_free_part_oracle(p))
     return _sign_variations(chain, _rat(a)) - _sign_variations(chain, _rat(b))
 
 

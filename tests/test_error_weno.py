@@ -27,11 +27,8 @@ from reconkernel.recon import basis, face_coeffs, pair_h_from_f, poly_sliding_av
 from reconkernel.vandermonde import (
     CoeffTable,
     Stencil,
-    comb0,
     inv_vandermonde,
-    inv_vandermonde_left_aligned,
     nu,
-    stirling1_unsigned,
     vandermonde,
 )
 from reconkernel.weno import (
@@ -822,8 +819,6 @@ BAD_VALUE_CASES = [
     ("mu_f", mu_f, (S22, [3])),
     ("Lambda", Lambda, (S22, [7])),
     ("sigma_values_at_half", sigma_values_at_half, (S22, [1])),
-    ("stirling1_unsigned", stirling1_unsigned, ([1], 1)),
-    ("inv_vandermonde_left_aligned", inv_vandermonde_left_aligned, ([2],)),
     ("error_expansion", error_expansion, (S22, ["h"])),
     ("non_interpolation_check", harness.non_interpolation_check, (S22, "0.1")),
     ("SampleSet-pivot", harness.SampleSet, (S22, "0", 0.1, (1.0,) * 5)),
@@ -831,7 +826,6 @@ BAD_VALUE_CASES = [
     ("exp_pair_reference", harness.exp_pair_reference, ("1", 0.1)),
     ("g_tau_float", harness.g_tau_float, ("x",)),
     ("CoeffTable.identity", CoeffTable.identity, ("2",)),
-    ("comb0", comb0, ("a", 1)),
 ]
 
 

@@ -34,6 +34,8 @@ from oracles import (
     poly_mul_fraction_oracle,
     poly_sliding_average_oracle,
     series_divide,
+    square_free_part_oracle,
+    sturm_count_oracle,
     taylor_shift,
 )
 
@@ -311,7 +313,7 @@ class TestIntegerSturmChain:
     @staticmethod
     def assert_chains_agree(p, points):
         chain = _int_sturm_chain(p)
-        oracle = _sturm_chain(square_free_part(p))
+        oracle = _sturm_chain(square_free_part_oracle(p))
         assert len(chain) == len(oracle)
         for ints, q in zip(chain, oracle):
             entry = RatPoly.of(ints)
@@ -341,6 +343,46 @@ class TestIntegerSturmChain:
             b[-1] < 0 and (len(a) - len(b)) % 2 == 0 for a, b in zip(chain, chain[1:-1])
         )
         assert sturm_real_root_count(p, -3, 3) == 1
+
+    # repeated roots, and leading coefficients that are negative or fractional
+    @given(
+        st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=1, max_size=4),
+        st.lists(st.integers(1, 3), min_size=4, max_size=4),
+        st.sampled_from([F(-1), F(-3, 2), F(2, 7), F(-5, 3), F(4)]),
+        st.lists(rationals, min_size=1, max_size=6),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_repeated_linear_factors_match_the_oracle_route(self, roots, powers, lead, points):
+        p = RatPoly.constant(lead)
+        for r, k in zip(roots, powers):
+            p = p * RatPoly.of([-r, 1]) ** k
+        distinct = RatPoly.constant(1)
+        for r in set(roots):
+            distinct = distinct * RatPoly.of([-r, 1])
+        assert square_free_part(p) == square_free_part_oracle(p) == distinct
+        self.assert_chains_agree(p, points)
+        ends = sorted(set(points))
+        for a, b in zip(ends, ends[1:]):
+            assert sturm_real_root_count(p, a, b) == sturm_count_oracle(p, a, b)
+
+    def test_a_square_free_chain_is_one_remainder_sequence(self, monkeypatch):
+        census = weno.sigma_weights(Stencil(3, 4), 3).weights[1].den
+        calls = []
+        sequence = exact._remainder_sequence
+
+        def recording(a, b):
+            calls.append((a, b))
+            return sequence(a, b)
+
+        monkeypatch.setattr(exact, "_remainder_sequence", recording)
+        for p in (RatPoly.of([0, -1, 0, 1]), census):
+            assert p.degree >= 3
+            calls.clear()
+            assert sturm_real_root_count(p, -cauchy_root_bound(p), cauchy_root_bound(p)) == p.degree
+            assert len(calls) == 1
+            calls.clear()
+            assert square_free_part(p) == p.monic()
+            assert len(calls) == 1
 
 
 sparse_polys = st.lists(st.sampled_from([0, 0, 0, -3, -1, 1, 2, 5]), max_size=9).map(RatPoly.of)

@@ -1,7 +1,9 @@
 """Every name a module of the package imports is used there or exported,
-and every private module-level name is referenced outside its definition."""
+every private module-level name is referenced outside its definition, and
+every name the package exports is exported by one of its modules."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -126,3 +128,13 @@ def test_a_dead_private_helper_is_caught():
     assert unreferenced_private_names({"a.py": used, "b.py": caller}) == {}
     dead = ast.parse("def _walk(n):\n    return _walk(n - 1) if n else 0\n_TABLE: dict = {}\n")
     assert unreferenced_private_names({"a.py": dead}) == {"_walk": "a.py:1", "_TABLE": "a.py:3"}
+
+
+def test_every_package_export_is_a_module_export():
+    # each name in reconkernel.__all__ is in the __all__ of a submodule, as
+    # the very object the package binds
+    modules = [importlib.import_module(f"reconkernel.{p.stem}") for p in MODULES if p.stem != "__init__"]
+    for name in reconkernel.__all__:
+        owners = [m for m in modules if name in getattr(m, "__all__", ())]
+        assert owners, f"{name} is in the __all__ of no module"
+        assert all(getattr(m, name) is getattr(reconkernel, name) for m in owners), name

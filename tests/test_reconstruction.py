@@ -316,6 +316,20 @@ class TestBasis:
         assert sum(b.alpha_f, RatPoly()) == one
         assert sum(b.alpha_h, RatPoly()) == one
 
+    @pytest.mark.parametrize("row, col", [(0, 0), (2, 3), (4, 4)])
+    def test_a_perturbed_column_does_not_sum_to_one(self, monkeypatch, row, col):
+        # the perturbed member keeps degree M, so only the sum check can fail
+        s = Stencil(2, 2)
+        rows = [list(r) for r in inv_vandermonde(s).entries]
+        rows[row][col] += F(1, 7)
+        monkeypatch.setattr(recon, "inv_vandermonde", lambda t: CoeffTable.of(rows))
+        basis.cache_clear()
+        try:
+            with pytest.raises(exact.InvariantError, match="does not sum to 1"):
+                basis(s)
+        finally:
+            basis.cache_clear()
+
     @pytest.mark.parametrize("s", all_stencils(3), ids=str)
     def test_degree_is_exactly_m(self, s):
         b = basis(s)
