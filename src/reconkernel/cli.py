@@ -28,6 +28,8 @@ from .recon import basis, face_coeffs
 from .vandermonde import CoeffTable, Stencil, inv_vandermonde, vandermonde
 from .weno import (
     DEFAULT_MARGIN,
+    Lambda,
+    _face_moments,
     beta_form,
     error_expansion,
     positivity_scan,
@@ -86,10 +88,6 @@ def _poly_strings(p: RatPoly) -> list[str]:
     return p.to_strings() or ["0"]
 
 
-def _padded(coeffs: list[str], width: int) -> list[str]:
-    return coeffs + ["0"] * (width - len(coeffs))
-
-
 def _cell(value) -> str:
     # payload values as CSV text: booleans as in JSON, floats by repr
     return str(value).lower() if isinstance(value, bool) else str(value)
@@ -144,41 +142,26 @@ def _cmd_basis(args: argparse.Namespace):
         "alpha_h": [p.to_strings() for p in b.alpha_h],
         "face_coeffs": [str(c) for c in face_coeffs(s)],
     }
-    width = s.m + 1
-    header = ["family", "offset"] + [f"c{k}" for k in range(width)]
-    rows = [
-        [name, offset] + _padded(coeffs, width)
+    terms = [
+        {"family": name, "offset": offset, "coeffs": coeffs}
         for name in ("alpha_f", "alpha_h")
         for offset, coeffs in zip(s.offsets(), body[name])
     ]
-    return body, header, rows
-
-
-def _check_face_exactness(s: Stencil, fc: tuple[Fraction, ...]) -> None:
-    # The face vector is the only one that turns the cell averages of every
-    # polynomial of degree <= M into its face value: for d = 0..M,
-    # sum_l c_l avg_l(x^d) = (1/2)^d, where avg_l(x^d) is the average over
-    # [l - 1/2, l + 1/2].  Times 2^(d+1) (d+1) and the common denominator D,
-    # that reads sum_l n_l ((2l+1)^(d+1) - (2l-1)^(d+1)) = 2 (d+1) D, where
-    # n_l = c_l D; M+1 integer equations in O(M^2) products.
-    if len(fc) != s.m + 1:
-        raise InvariantError(f"stencil {s} has {s.m + 1} cells but {len(fc)} face coefficients")
-    nums, den = _common_denominator(fc)
-    ends = [(2 * l + 1, 2 * l - 1) for l in s.offsets()]
-    powers = ends
-    for d in range(s.m + 1):
-        moment = sum(n * (r - q) for n, (r, q) in zip(nums, powers))
-        if moment != 2 * (d + 1) * den:
-            raise InvariantError(
-                f"face coefficients of {s} do not reproduce the face value of x^{d}"
-            )
-        powers = [(r * a, q * b) for (r, q), (a, b) in zip(powers, ends)]
+    return body, *_coeff_rows(terms, "family", "offset")
 
 
 def _cmd_face_coeffs(args: argparse.Namespace):
     s = _stencil(args)
     fc = face_coeffs(s)
-    _check_face_exactness(s, fc)
+    # The face vector alone rebuilds every face value of degree <= M: on
+    # (x - 1/2)^d/d!, F_0 = D and F_1..F_M = 0; as x^d span the same, the
+    # first d to fail is the first power x^d that the vector misses.
+    if len(fc) != s.m + 1:
+        raise InvariantError(f"stencil {s} has {s.m + 1} cells but {len(fc)} face coefficients")
+    moments, den = _face_moments(s, fc, s.m)
+    for d, moment in enumerate(moments):
+        if moment != den * (d == 0):
+            raise InvariantError(f"face coefficients of {s} do not reproduce the face value of x^{d}")
     body = {"face_coeffs": [str(c) for c in fc]}
     return body, ["offset", "coeff"], list(zip(s.offsets(), body["face_coeffs"]))
 
@@ -188,7 +171,7 @@ def _coeff_rows(terms: list[dict], *keys: str) -> tuple[list[str], list[list]]:
     # common width
     width = max(len(t["coeffs"]) for t in terms)
     header = list(keys) + [f"c{k}" for k in range(width)]
-    rows = [[t[key] for key in keys] + _padded(t["coeffs"], width) for t in terms]
+    rows = [[t[k] for k in keys] + t["coeffs"] + ["0"] * (width - len(t["coeffs"])) for t in terms]
     return header, rows
 
 
@@ -202,11 +185,12 @@ def _cmd_error_poly(args: argparse.Namespace):
 def _cmd_lambda(args: argparse.Namespace):
     s = _stencil(args)
     exp = error_expansion(s, f"lambda-{args.kind}", _order(args, s))
-    half = Fraction(1, 2)
-    terms = [
-        {"order": n, "coeffs": _poly_strings(p), "face_value": str(poly_eval(p, half))}
-        for n, p in exp.terms
-    ]
+    terms = []
+    for n, p in exp.terms:
+        value = poly_eval(p, Fraction(1, 2))
+        if args.kind == "h" and value != Lambda(s, n):
+            raise InvariantError(f"lambda_h({s}, {n}) at 1/2 differs from Lambda({s}, {n})")
+        terms.append({"order": n, "coeffs": _poly_strings(p), "face_value": str(value)})
     return {"kind": exp.kind, "terms": terms}, *_coeff_rows(terms, "order", "face_value")
 
 
@@ -217,10 +201,8 @@ def _cmd_weights(args: argparse.Namespace):
         {"k_s": k, "num": _poly_strings(w.num), "den": _poly_strings(w.den), "at_half": str(v)}
         for k, (w, v) in enumerate(zip(family.weights, family.values_at(Fraction(1, 2))))
     ]
-    width = max(max(len(w["num"]), len(w["den"])) for w in weights)
-    header = ["k_s", "part"] + [f"c{k}" for k in range(width)]
-    rows = [[w["k_s"], part] + _padded(w[part], width) for w in weights for part in ("num", "den")]
-    return {"levels": args.levels, "weights": weights}, header, rows
+    terms = [{"k_s": w["k_s"], "part": p, "coeffs": w[p]} for w in weights for p in ("num", "den")]
+    return {"levels": args.levels, "weights": weights}, *_coeff_rows(terms, "k_s", "part")
 
 
 def _cmd_poles(args: argparse.Namespace):
@@ -262,9 +244,8 @@ def _cmd_positivity(args: argparse.Namespace):
 def _cmd_beta(args: argparse.Namespace):
     s = _stencil(args)
     matrix = beta_form(s, face_centered=args.face_centered).matrix.to_strings()
-    header = ["row"] + [f"c{k}" for k in range(len(matrix))]
-    rows = [[i] + row for i, row in enumerate(matrix)]
-    return {"face_centered": args.face_centered, "matrix": matrix}, header, rows
+    terms = [{"row": i, "coeffs": row} for i, row in enumerate(matrix)]
+    return {"face_centered": args.face_centered, "matrix": matrix}, *_coeff_rows(terms, "row")
 
 
 def _cmd_converge(args: argparse.Namespace):

@@ -122,7 +122,10 @@ class RatPoly:
     coeffs: tuple[Fraction, ...] = ()
 
     def __post_init__(self) -> None:
-        cs = tuple(_rat(c) for c in self.coeffs)
+        try:
+            cs = tuple(_rat(c) for c in self.coeffs)
+        except TypeError:
+            raise ValidationError("polynomial coefficients must be iterable") from None
         while cs and cs[-1] == 0:
             cs = cs[:-1]
         object.__setattr__(self, "coeffs", cs)
@@ -242,6 +245,9 @@ class RatPoly:
 
     @classmethod
     def from_strings(cls, items: Iterable[str]) -> "RatPoly":
+        items = _tuple(items, "rational literals must come as an iterable of strings")
+        if not all(isinstance(s, str) for s in items):
+            raise ValidationError("rational literals must be strings")
         try:
             return cls(tuple(Fraction(s) for s in items))
         except (ValueError, ZeroDivisionError) as exc:

@@ -191,13 +191,26 @@ class ConvergenceReport:
     fit_indices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.grid_sizes) != len(self.errors):
+        _stencil(self.stencil)
+        _target(self.target)
+        message = "grid sizes must be a sequence of positive floats"
+        sizes = tuple(_real(dx, message, positive=True) for dx in _tuple(self.grid_sizes, message))
+        message = "errors must be a sequence of finite floats"
+        errors = tuple(_real(err, message) for err in _tuple(self.errors, message))
+        if len(sizes) != len(errors):
             raise ValidationError("one error per grid size required")
-        if any(a <= b for a, b in zip(self.grid_sizes, self.grid_sizes[1:])):
+        if any(a <= b for a, b in zip(sizes, sizes[1:])):
             raise ValidationError("grid sizes must decrease strictly")
+        object.__setattr__(self, "grid_sizes", sizes)
+        object.__setattr__(self, "errors", errors)
 
 
 _TARGETS = ("face", "derivative")
+
+
+def _target(target: object) -> None:
+    if target not in _TARGETS:
+        raise ValidationError(f"target must be one of {_TARGETS}")
 
 
 def _fit_slope(xs: list[float], ys: list[float]) -> float:
@@ -232,8 +245,7 @@ def convergence_study(
     normal float.
     """
     _stencil(s)
-    if target not in _TARGETS:
-        raise ValidationError(f"target must be one of {_TARGETS}")
+    _target(target)
     _int(grid_levels, "at least 3 grid levels required", lo=3)
     if grid_levels > MAX_GRID_LEVELS:
         raise ValidationError(

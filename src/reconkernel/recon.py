@@ -28,6 +28,7 @@ from .exact import (
     Rational,
     ValidationError,
     _common_denominator,
+    _int,
     _memo,
     _rat,
     _tuple,
@@ -138,10 +139,14 @@ class ReconstructionBasis:
     alpha_h: tuple[RatPoly, ...]
 
     def alpha_f_at(self, ell: int) -> RatPoly:
-        return self.alpha_f[ell + self.stencil.m_minus]
+        return self.alpha_f[self._position(ell)]
 
     def alpha_h_at(self, ell: int) -> RatPoly:
-        return self.alpha_h[ell + self.stencil.m_minus]
+        return self.alpha_h[self._position(ell)]
+
+    def _position(self, ell: int) -> int:
+        lo, hi = -self.stencil.m_minus, self.stencil.m_plus
+        return _int(ell, f"offset {ell} outside the window {lo}..{hi}", lo=lo, hi=hi) - lo
 
 
 @_memo

@@ -15,7 +15,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exact import RatPoly, Rational, ValidationError, _divmod_int, _homogeneous_eval, _int, _memo, _rat
+from .exact import (
+    RatPoly,
+    Rational,
+    ValidationError,
+    _divmod_int,
+    _homogeneous_eval,
+    _int,
+    _memo,
+    _rat,
+    _tuple,
+)
 
 __all__ = [
     "CoeffTable",
@@ -69,15 +79,13 @@ class CoeffTable:
     entries: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        if not self.entries or not self.entries[0]:
+        message = "coefficient tables must be an iterable of rows of exact rationals"
+        rows = tuple(tuple(map(_rat, _tuple(row, message))) for row in _tuple(self.entries, message))
+        if not rows or not rows[0]:
             raise ValidationError("coefficient tables must be nonempty")
-        width = len(self.entries[0])
-        rows = []
-        for row in self.entries:
-            if len(row) != width:
-                raise ValidationError("coefficient tables must be rectangular")
-            rows.append(tuple(_rat(c) for c in row))
-        object.__setattr__(self, "entries", tuple(rows))
+        if any(len(row) != len(rows[0]) for row in rows):
+            raise ValidationError("coefficient tables must be rectangular")
+        object.__setattr__(self, "entries", rows)
 
     @classmethod
     def of(cls, rows: Iterable[Sequence[Rational]]) -> "CoeffTable":

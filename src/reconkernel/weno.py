@@ -5,6 +5,8 @@ expansions in powers of the cell width: mu polynomials weight derivatives at
 the pivot, lambda polynomials weight derivatives at the evaluation point, and
 the constants Lambda = lambda_h(1/2) govern the face-value error.  mu_h is
 in explicit form: a deconvolved interpolant of degree <= M less a tau tail.
+Lambda is one integer sum over the face coefficients, the face moment of
+order n, whose moments of degree <= M certify those coefficients exact.
 
 A stencil of M+1 cells splits into K+1 overlapping substencils of M-K+1
 cells each.  The rational weight-functions sigma combine the substencil
@@ -27,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm, perm
-from operator import mul
+from operator import mul, sub
 
 from .exact import (
     InvariantError,
@@ -45,7 +47,6 @@ from .exact import (
     _sturm_variations,
     _tuple,
     cauchy_root_bound,
-    poly_eval,
 )
 from .deconv import shifted_taylor_poly
 from .recon import basis, face_coeffs, pair_h_from_f, poly_sliding_average
@@ -163,14 +164,32 @@ def lambda_f(s: Stencil, order: int) -> RatPoly:
     return _relocated(s, order, mu_f, averaged=False)
 
 
+def _face_moments(s: Stencil, coeffs, n_max: int) -> tuple[list[int], int]:
+    # F_d = sum_l N_l (l^(d+1) - (l-1)^(d+1)), d = 0..n_max, with coeffs = N/D:
+    # F_d/(D (d+1)!) is the face value rebuilt from the cell averages of
+    # (x - 1/2)^d/d!.  By faces j, F_d = sum_j (N_j - N_(j+1)) j^(d+1).
+    nums, den = _common_denominator(coeffs)
+    jumps = list(map(sub, [0] + nums, nums + [0]))
+    faces = range(-s.m_minus - 1, s.m_plus + 1)
+    powers, moments = list(faces), []
+    for _ in range(n_max + 1):
+        moments.append(sum(map(mul, jumps, powers)))
+        powers = list(map(mul, powers, faces))
+    return moments, den
+
+
 def Lambda(s: Stencil, order: int) -> Fraction:
     """Face-error constant: lambda_h evaluated exactly at xi = 1/2.
 
     The reconstructed face value satisfies
     h_{i+1/2} approx = h(x_{i+1/2}) + sum_{n > M} Lambda(s, n) dx^n h^(n),
-    with the h-derivatives taken at the face.
+    with the h-derivatives taken at the face.  Lambda(s, n) is the face value
+    rebuilt from the cell averages of (x - 1/2)^n/n!, summed in integers:
+    sum_l c_l (l^(n+1) - (l-1)^(n+1)) / (n+1)! with c = face_coeffs(s).
     """
-    return poly_eval(lambda_h(s, order), Fraction(1, 2))
+    _require_expansion_order(s, order)
+    moments, den = _face_moments(s, face_coeffs(s), order)
+    return Fraction(moments[order], den * factorial(order + 1))
 
 
 @dataclass(frozen=True)
@@ -520,8 +539,8 @@ class SmoothnessForm:
                 raise InvariantError(f"smoothness form of {self.stencil} does not annihilate constants")
 
     def value(self, cells: "tuple[Rational, ...] | list[Rational]") -> Fraction:
-        vals = [_rat(c) for c in cells]
         n = self.stencil.m + 1
+        vals = [_rat(c) for c in _tuple(cells, f"expected {n} cell values")]
         if len(vals) != n:
             raise ValidationError(f"expected {n} cell values, got {len(vals)}")
         acc = Fraction(0)

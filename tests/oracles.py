@@ -11,7 +11,9 @@ the level-by-level convolution recurrence over one-fold splits, the
 weight-functions also by the triangular solve in `RatFunction` arithmetic
 on the basis polynomials, which the package's interpolation at the cell
 interfaces replaced, and the pole census by Sturm chains in `Fraction`s,
-rebuilt at every bisection step.
+rebuilt at every bisection step; the linear weights inside the
+positivity condition also by the hypergeometric closed form.  The face-error
+constants Lambda are also reached by evaluating lambda_h at the face.
 Polynomial division, evaluation, products and the sliding average are also
 reached by the `Fraction` loops that the package's integer kernels replaced:
 the elimination loop, Horner's rule, the schoolbook product, and the
@@ -58,6 +60,7 @@ from reconkernel.weno import (
     SmoothnessForm,
     WeightFamily,
     _require_expansion_order,
+    lambda_h,
     mu_h,
     substencil,
 )
@@ -522,6 +525,11 @@ def Lambda_face_oracle(s: Stencil, order: int) -> Fraction:
     return total / factorial(order + 1)
 
 
+def Lambda_relocation_oracle(s: Stencil, order: int) -> Fraction:
+    """Lambda(s, n) = lambda_h(s, n)(1/2): mu_h, the relocation loop and one evaluation at the face."""
+    return poly_eval_oracle(lambda_h(s, order), Fraction(1, 2))
+
+
 # ---------------------------------------------------------------------------
 # smoothness forms
 # ---------------------------------------------------------------------------
@@ -636,6 +644,20 @@ def sigma_half_recurrence_oracle(s: Stencil, levels: int) -> tuple[Fraction, ...
             acc += prev[l] * sigma_half_recurrence_oracle(substencil(s, levels - 1, l), 1)[k - l]
         out.append(acc)
     return tuple(out)
+
+
+def sigma_half_hypergeometric_oracle(s: Stencil, levels: int) -> tuple[Fraction, ...]:
+    """Linear weights as the hypergeometric law C(m_minus+1, k) C(m_plus, K-k) / C(M+1, K).
+
+    Expected to hold inside the positivity condition m_minus >= 0,
+    m_plus >= 1, K <= min(m_minus + 1, m_plus), where every term is positive
+    and the terms sum to 1 by Vandermonde's identity; outside it the linear
+    weights are something else.
+    """
+    total = comb(s.m + 1, levels)
+    return tuple(
+        Fraction(comb(s.m_minus + 1, k) * comb(s.m_plus, levels - k), total) for k in range(levels + 1)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,14 @@
 import csv
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
 import reconkernel.cli as cli
 from reconkernel.cli import main
+from reconkernel.exact import RatPoly
+from reconkernel.weno import ErrorExpansion
 
 SMOKE_COMMANDS = {
     "tau": ["tau", "--order", "6"],
@@ -238,6 +241,37 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert err == f"invariant violated: {message}\n"
+
+    @pytest.mark.parametrize(
+        "tamper, power",
+        [
+            # a second difference keeps the sum and the x moment; a third
+            # difference keeps the x^2 moment too
+            (lambda c: (c[0] + 1, c[1] - 2, c[2] + 1) + c[3:], 2),
+            (lambda c: (c[0] - 1, c[1] + 3, c[2] - 3, c[3] + 1) + c[4:], 3),
+        ],
+        ids=["second-difference", "third-difference"],
+    )
+    def test_face_certificate_names_the_first_missed_power(self, tamper, power, capsys, monkeypatch):
+        wrong = tamper(cli.face_coeffs(cli.Stencil(2, 2)))
+        monkeypatch.setattr(cli, "face_coeffs", lambda s: wrong)
+        code, out, err = run(["face-coeffs", "--stencil", "2", "2"], capsys)
+        assert (code, out) == (3, "")
+        assert err == (
+            "invariant violated: face coefficients of (2,2) do not reproduce "
+            f"the face value of x^{power}\n"
+        )
+
+    @pytest.mark.parametrize("kind, code", [("h", 3), ("f", 0)])
+    def test_lambda_face_values_are_checked_against_Lambda(self, kind, code, capsys, monkeypatch):
+        exp = cli.error_expansion(cli.Stencil(1, 1), f"lambda-{kind}", 6)
+        nudged = exp.terms[0][1] + RatPoly.constant(Fraction(1, 10**9))
+        off = ErrorExpansion(exp.stencil, exp.kind, ((3, nudged),) + exp.terms[1:])
+        monkeypatch.setattr(cli, "error_expansion", lambda *args: off)
+        got, _, err = run(["lambda", "--stencil", "1", "1", "--kind", kind], capsys)
+        assert got == code
+        message = "invariant violated: lambda_h((1,1), 3) at 1/2 differs from Lambda((1,1), 3)\n"
+        assert err == (message if code else "")
 
     @pytest.mark.parametrize(
         "tamper",

@@ -19,6 +19,7 @@ from reconkernel.exact import (
     sturm_real_root_count,
 )
 import reconkernel.deconv as deconv_module
+import reconkernel.exact as exact_module
 import reconkernel.recon as recon_module
 import reconkernel.vandermonde as vandermonde_module
 from reconkernel import harness, weno
@@ -54,11 +55,13 @@ from reconkernel.weno import (
 )
 from oracles import (
     Lambda_face_oracle,
+    Lambda_relocation_oracle,
     beta_form_product_oracle,
     lambda_f_cardinal_oracle,
     lambda_h_cardinal_oracle,
     lambda_h_power_oracle,
     sigma_family_recurrence_oracle,
+    sigma_half_hypergeometric_oracle,
     sigma_half_recurrence_oracle,
     sigma_pole_analysis_rebuild_oracle,
     sigma_weights_symbolic_oracle,
@@ -236,6 +239,32 @@ class TestFaceErrorConstants:
     def test_exact_orders_leave_no_face_error(self, s):
         for order in range(s.m + 1):
             assert face_error_oracle(s, order) == 0
+
+    def test_face_moments_match_lambda_h_at_the_face(self):
+        grid = [
+            (Stencil(a, b), n)
+            for a in range(-3, 10)
+            for b in range(-3, 10)
+            if 0 <= a + b <= 9
+            for n in range(a + b + 1, a + b + 6)
+        ]
+        assert len(grid) == 515
+        wide = [(Stencil(10, 10), 25), (Stencil(0, 12), 60), (Stencil(-2, 9), 20)]
+        assert [c for c in grid + wide if Lambda(*c) != Lambda_relocation_oracle(*c)] == []
+
+    def test_builds_no_polynomial(self, monkeypatch):
+        s = Stencil(3, 4)
+        expected = {n: Lambda_relocation_oracle(s, n) for n in range(8, 14)}
+
+        def forbidden(*args):
+            raise AssertionError("Lambda went through a polynomial route")
+
+        monkeypatch.setattr(weno, "lambda_h", forbidden)
+        monkeypatch.setattr(weno, "mu_h", forbidden)
+        monkeypatch.setattr(recon_module, "_pair_map", forbidden)
+        monkeypatch.setattr(exact_module, "poly_eval", forbidden)
+        face_coeffs.cache_clear()
+        assert {n: Lambda(s, n) for n in expected} == expected
 
 
 class TestErrorExpansionWrapper:
@@ -800,6 +829,7 @@ WRONG_TYPE_CASES = [
     (WeightFamily, (1, (RatFunction.constant(1), RatFunction.constant(0)))),
     (harness.SampleSet, (0.0, 0.1, (1.0, 1.0, 1.0))),
     (harness.reconstruct_face, ()),
+    (harness.ConvergenceReport, ("face", (0.5,), (1e-3,), 3.0, (0,))),
 ]
 
 
@@ -826,15 +856,44 @@ BAD_VALUE_CASES = [
     ("exp_pair_reference", harness.exp_pair_reference, ("1", 0.1)),
     ("g_tau_float", harness.g_tau_float, ("x",)),
     ("CoeffTable.identity", CoeffTable.identity, ("2",)),
+    ("RatPoly", RatPoly, (5,)),
+    ("RatPoly.from_strings-float", RatPoly.from_strings, ([1.5],)),
+    ("RatPoly.from_strings-None", RatPoly.from_strings, ([None],)),
+    ("CoeffTable", CoeffTable, (5,)),
+    ("CoeffTable-row", CoeffTable, ((5,),)),
+    ("SmoothnessForm.value", beta_form(S22).value, (5,)),
+    ("ConvergenceReport-sizes", harness.ConvergenceReport, (S22, "face", 5, 5, 3.0, (0,))),
+    ("ConvergenceReport-target", harness.ConvergenceReport, (S22, "edge", (0.5,), (1e-3,), 3.0, (0,))),
+    ("alpha_h_at", basis(Stencil(1, 1)).alpha_h_at, (-3,)),
+    ("alpha_f_at", basis(Stencil(1, 1)).alpha_f_at, (-4,)),
 ]
 
 
 @pytest.mark.parametrize("call, args", [c[1:] for c in BAD_VALUE_CASES], ids=[c[0] for c in BAD_VALUE_CASES])
 def test_unhashable_or_non_numeric_argument_is_a_validation_error(call, args):
-    # a list where a memoized call needs a hashable argument, and a string
-    # where a number belongs, fail before any arithmetic
+    # a list where a memoized call needs a hashable argument, a string where
+    # a number belongs, a scalar where a sequence belongs, a float where a
+    # literal belongs and an offset outside the window fail before any
+    # arithmetic
     with pytest.raises(ValidationError):
         call(*args)
+
+
+class TestHypergeometricLinearWeights:
+    def test_closed_form_inside_the_positivity_condition(self):
+        # every M <= 24 with m_minus >= 0, m_plus >= 1, 1 <= K <= min(m_minus + 1, m_plus)
+        configs = [
+            (Stencil(mm, m - mm), levels)
+            for m in range(2, 25)
+            for mm in range(m)
+            for levels in range(1, min(mm + 1, m - mm, m - 1) + 1)
+        ]
+        assert len(configs) == 1377
+        assert [c for c in configs if sigma_values_at_half(*c) != sigma_half_hypergeometric_oracle(*c)] == []
+
+    @pytest.mark.parametrize("s, levels", [(Stencil(2, 2), 3), (Stencil(3, 0), 1), (Stencil(0, 4), 2)], ids=str)
+    def test_closed_form_fails_outside_the_condition(self, s, levels):
+        assert sigma_values_at_half(s, levels) != sigma_half_hypergeometric_oracle(s, levels)
 
 
 class TestPositivityScan:
