@@ -201,8 +201,14 @@ class ConvergenceReport:
             raise ValidationError("one error per grid size required")
         if any(a <= b for a, b in zip(sizes, sizes[1:])):
             raise ValidationError("grid sizes must decrease strictly")
+        _real(self.fitted_order, "fitted order must be a finite real")
+        message = "fit indices must be a sequence of grid-size positions"
+        indices = tuple(
+            _int(i, message, lo=0, hi=len(sizes) - 1) for i in _tuple(self.fit_indices, message)
+        )
         object.__setattr__(self, "grid_sizes", sizes)
         object.__setattr__(self, "errors", errors)
+        object.__setattr__(self, "fit_indices", indices)
 
 
 _TARGETS = ("face", "derivative")
@@ -242,7 +248,8 @@ def convergence_study(
     fit_window smallest usable widths; fewer than three usable points leave
     the fit degenerate, which is reported as an error.  More than
     MAX_GRID_LEVELS levels are rejected: the smallest width must stay a
-    normal float.
+    normal float.  Windows so far from the pivot that a sample or the error
+    could overflow binary64 are rejected up front.
     """
     _stencil(s)
     _target(target)
@@ -256,6 +263,7 @@ def convergence_study(
 
     face = face_coeffs(s)
     deriv = derivative_coeffs(s)
+    _require_float_range(s, target, face, deriv)
     grid_sizes = []
     errors = []
     usable = []
@@ -281,6 +289,25 @@ def convergence_study(
     window = usable[-min(fit_window, len(usable)):]
     slope = _fit_slope([log(grid_sizes[i]) for i in window], [log(errors[i]) for i in window])
     return ConvergenceReport(s, target, tuple(grid_sizes), tuple(errors), slope, tuple(window))
+
+
+def _require_float_range(s: Stencil, target: str, face, deriv) -> None:
+    # The samples e^(l dx) are largest at the first width 2^-4, at most
+    # e^(J/16) with J = max |l|.  So the face value is at most
+    # sum_l |c_l| e^(J/16).  The flux weights annihilate constants, so the
+    # derivative is sum_j w_j (e^(j dx) - 1)/dx, and rounding to nearest
+    # keeps |fl(e^y) - 1| <= 2 |e^y - 1| <= 2 |y| e^|y|: it is at most
+    # sum_j 2 |j w_j| e^(J/16).  Each weight sum is at least 1, so a bound
+    # below the largest float keeps every sample, value and error finite.
+    if target == "face":
+        reach, total = max(abs(s.m_minus), abs(s.m_plus)), sum(map(abs, face))
+    else:
+        reach, total = max(abs(j) for j, _ in deriv), sum(2 * abs(j * w) for j, w in deriv)
+    if log(total.numerator) - log(total.denominator) + reach / 16 >= _LOG_FLOAT_MAX:
+        raise ValidationError(
+            f"stencil {s} lies too far from the pivot: the {target} error of its "
+            f"exp samples at width 2^-4 may overflow binary64"
+        )
 
 
 def _require_sample_width(s: Stencil, delta_x: float) -> None:

@@ -58,15 +58,20 @@ def _coeff_tuple(c: CoeffList) -> tuple[Fraction, ...]:
     return tuple(_rat(x) for x in _tuple(c, "expected a coefficient list"))
 
 
+def _pair_sums(nums: list[int], ws: list[int]) -> list[int]:
+    # sum_k ws[k] (m+2k)! nums[m+2k] for every m: the pair map in integers,
+    # before the division by m!; ws may run past the list
+    scaled = [a * factorial(j) for j, a in enumerate(nums)]
+    return [sum(map(mul, ws, scaled[m::2])) for m in range(len(nums))]
+
+
 def _pair_map(c: CoeffList, weight) -> list[Fraction]:
     # c_out[m] = (1/m!) sum_k w_k (m+2k)! c[m+2k], w_k = weight(k), summed in
-    # integers: c = N/den and w = W/dw over common denominators, N[j] scaled
-    # by j!, and one Fraction per output coefficient
+    # integers: c = N/den and w = W/dw over common denominators, and one
+    # Fraction per output coefficient
     nums, den = _common_denominator(_coeff_tuple(c))
-    n = len(nums)
-    ws, dw = _common_denominator([weight(k) for k in range((n + 1) // 2)])
-    scaled = [a * factorial(j) for j, a in enumerate(nums)]
-    return [Fraction(sum(map(mul, ws, scaled[m::2])), den * dw * factorial(m)) for m in range(n)]
+    ws, dw = _common_denominator([weight(k) for k in range((len(nums) + 1) // 2)])
+    return [Fraction(t, den * dw * factorial(m)) for m, t in enumerate(_pair_sums(nums, ws))]
 
 
 def pair_f_from_h(c_h: CoeffList) -> list[Fraction]:
@@ -132,11 +137,22 @@ class ReconstructionBasis:
     """Cardinal bases of the interpolating and reconstructing polynomials.
 
     Position p in either tuple corresponds to the node offset p - m_minus.
+    Each family is any iterable of M+1 RatPoly members, stored as a tuple.
     """
 
     stencil: Stencil
     alpha_f: tuple[RatPoly, ...]
     alpha_h: tuple[RatPoly, ...]
+
+    def __post_init__(self) -> None:
+        _stencil(self.stencil)
+        n = self.stencil.m + 1
+        message = f"each basis family of stencil {self.stencil} holds {n} RatPoly members"
+        for name in ("alpha_f", "alpha_h"):
+            family = _tuple(getattr(self, name), message)
+            if len(family) != n or not all(isinstance(p, RatPoly) for p in family):
+                raise ValidationError(message)
+            object.__setattr__(self, name, family)
 
     def alpha_f_at(self, ell: int) -> RatPoly:
         return self.alpha_f[self._position(ell)]

@@ -6,7 +6,7 @@ node offsets is inverted through its Lagrange cardinal polynomials: column j
 of the inverse is the node polynomial prod_k (x - x_k) divided by (x - x_j)
 and by the value of that quotient at x_j, all in integers.  The same node
 polynomial gives the error generators nu: the interpolant of x^k on the
-stencil is the remainder of x^k divided by it.
+stencil is the remainder of x^k divided by it, one power after another.
 """
 
 from __future__ import annotations
@@ -166,9 +166,29 @@ def inv_vandermonde(s: Stencil) -> CoeffTable:
     return CoeffTable.of(zip(*cols))
 
 
+def _power_remainders(nodes: Iterable[int], n: int) -> list[list[int]]:
+    """x^j mod the monic node polynomial of the integer nodes, for j = 0..n.
+
+    Entry j holds the deg(omega) ascending integer coefficients of the
+    interpolant of x^j on the nodes.  Each step multiplies the last remainder
+    by x and subtracts its top coefficient times omega, so a power costs
+    O(deg omega) integer products.
+    """
+    low = _node_poly(nodes)[:-1]
+    r = [1] + [0] * (len(low) - 1)
+    out = [r]
+    for _ in range(n):
+        top = r[-1]
+        r = [0] + r[:-1]
+        if top:
+            r = [a - top * w for a, w in zip(r, low)]
+        out.append(r)
+    return out
+
+
 def _power_interpolant(s: Stencil, k: int) -> RatPoly:
     """x^k mod the node polynomial: the interpolant of x^k on the stencil."""
-    return RatPoly.of(_divmod_int([0] * k + [1], _node_poly(s.offsets()))[1])
+    return RatPoly.of(_power_remainders(s.offsets(), k)[k])
 
 
 def nu(s: Stencil, m: int, k: int) -> Fraction:

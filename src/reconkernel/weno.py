@@ -8,6 +8,23 @@ in explicit form: a deconvolved interpolant of degree <= M less a tau tail.
 Lambda is one integer sum over the face coefficients, the face moment of
 order n, whose moments of degree <= M certify those coefficients exact.
 
+Both lambda polynomials come from one integer kernel, the remainders
+x^j mod a monic node polynomial, each one step from the last.  On the M+1
+cell offsets, with e_j = xi^j - (xi^j mod omega),
+
+    lambda_f(s, n) = -(1/n!) sum_{j=M+1}^{n} C(n, j) (-xi)^(n-j) e_j;
+
+on the M+2 faces, where the reconstruction is the derivative of the
+interpolant of the primitive, with E_j = d/dxi [xi^j - R_j(2 xi)/2^j] and
+R_j = u^j mod the face polynomial in u = 2x, whose nodes are odd integers,
+
+    lambda_h(s, n) = -(1/(n+1)!) sum_{j=M+2}^{n+1} C(n+1, j) (-xi)^(n+1-j) E_j.
+
+The terms the interpolant reproduces exactly drop out: e_j and E_j vanish
+below the number of nodes, and the binomial sums of the bare powers are
+(xi - xi)^n and its derivative, zero.  No basis, inverse Vandermonde
+matrix or polynomial product is built.
+
 A stencil of M+1 cells splits into K+1 overlapping substencils of M-K+1
 cells each.  The rational weight-functions sigma combine the substencil
 reconstructing polynomials exactly into the big-stencil one; their values at
@@ -28,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm, perm
+from math import comb, factorial, lcm, perm
 from operator import mul, sub
 
 from .exact import (
@@ -48,9 +65,17 @@ from .exact import (
     _tuple,
     cauchy_root_bound,
 )
-from .deconv import shifted_taylor_poly
-from .recon import basis, face_coeffs, pair_h_from_f, poly_sliding_average
-from .vandermonde import CoeffTable, Stencil, _cardinals, _node_poly, _power_interpolant, _stencil
+from .deconv import tau
+from .recon import _pair_sums, basis, face_coeffs
+from .vandermonde import (
+    CoeffTable,
+    Stencil,
+    _cardinals,
+    _node_poly,
+    _power_interpolant,
+    _power_remainders,
+    _stencil,
+)
 
 __all__ = [
     "ErrorExpansion",
@@ -94,9 +119,16 @@ def _mu_f_any(s: Stencil, order: int) -> RatPoly:
 
 def _mu_h_any(s: Stencil, order: int) -> RatPoly:
     # _mu_f_any deconvolved term by term: x^order/order! deconvolves to
-    # shifted_taylor_poly(order), so only the interpolant (degree <= M) is mapped
-    nu_h = RatPoly.of(pair_h_from_f(_power_interpolant(s, order).coeffs))
-    return nu_h * Fraction(1, factorial(order)) - shifted_taylor_poly(order)
+    # shifted_taylor_poly(order), sum_k tau_2k x^(order-2k)/(order-2k)!, so
+    # only the interpolant nu (degree <= M) goes through the pair map; both
+    # over the denominator m! order! dw of coefficient m, in integers
+    nu = _power_remainders(s.offsets(), order)[order]
+    ws, dw = _common_denominator([tau(2 * k) for k in range(order // 2 + 1)])
+    sums = _pair_sums(nu, ws) + [0] * (order + 1 - len(nu))
+    scale = factorial(order)
+    for k, w in enumerate(ws):
+        sums[order - 2 * k] -= scale * w
+    return RatPoly.of(Fraction(t, factorial(m) * scale * dw) for m, t in enumerate(sums))
 
 
 @_memo
@@ -118,50 +150,73 @@ def mu_h(s: Stencil, order: int) -> RatPoly:
     The deconvolution (`pair_h_from_f`) of mu_f(s, n), in explicit form:
     1/n! times the deconvolved nu corrections sum_m nu_{m,n} xi^m, of degree
     <= M, less the tau tail `shifted_taylor_poly(n)`, which is the
-    deconvolution of xi^n/n!; degree exactly n.
+    deconvolution of xi^n/n!; degree exactly n.  Both parts are summed in
+    integers over one denominator per coefficient.
     """
     _require_expansion_order(s, order)
     return _mu_h_any(s, order)
 
 
-def _relocated(s: Stencil, order: int, mu, averaged: bool) -> RatPoly:
-    # sum_{l=0}^{n-M-1} mu(s, n-l) * k_l, with k_l = (-xi)^l/l! or, when
-    # averaged, its sliding average
-    total = RatPoly()
-    for l in range(order - s.m):
-        kernel = RatPoly.monomial(l, Fraction((-1) ** l, factorial(l)))
-        if averaged:
-            kernel = poly_sliding_average(kernel)
-        total = total + mu(s, order - l) * kernel
-    return total
+def _unreproduced(nodes: range, n: int, derivative: bool) -> list[int]:
+    # -sum_j C(n, j) (-x)^(n-j) e_j(x), e_j = x^j - (x^j mod omega), with
+    # e_j replaced by its derivative when asked, as integer coefficients of
+    # x^0 .. x^(n - derivative); e_j = 0 below the degree of omega
+    rems = _power_remainders(nodes, n)
+    d = int(derivative)
+    acc = [0] * (n + 1 - d)
+    for j in range(len(nodes), n + 1):
+        c = (-1) ** (n - j) * comb(n, j)
+        acc[n - d] -= c * j**d
+        for i, r in enumerate(rems[j][d:], d):
+            acc[n - j + i - d] += c * i**d * r
+    return acc
 
 
 @_memo
 def lambda_h(s: Stencil, order: int) -> RatPoly:
     """Local-derivative error polynomial of the reconstruction.
 
-    Re-centers the mu_h expansion on the evaluation point and trades the
-    pivot derivatives of the averaged field for derivatives of the
-    reconstructed function itself:
+    The reconstruction is the derivative of the polynomial interpolating the
+    primitive of the averages at the M+2 cell faces x_q, so with the face
+    cardinals L_q and n = order,
 
-        lambda_h(s, n) = sum_{l=0}^{n-M-1} mu_h(s, n-l) * k_l,
+        lambda_h(s, n)(xi) = sum_q L_q'(xi) (x_q - xi)^(n+1) / (n+1)!
+            = -(1/(n+1)!) sum_{j=M+2}^{n+1} C(n+1, j) (-xi)^(n+1-j) E_j(xi),
 
-    where k_l is the sliding average (`pair_f_from_h`) of (-xi)^l/l!, that
-    is ((-1)^(l+1)/(l+1)!) * ((xi-1/2)^(l+1) - (xi+1/2)^(l+1)).  The l = 0
-    kernel is 1, so the leading term equals mu_h(s, M+1).
+    with E_j = d/dxi [xi^j - G_j(xi)] and G_j = sum_q L_q x_q^j the face
+    interpolant of x^j.  The binomial sum of the xi^j alone is the
+    derivative of (x - xi)^(n+1) at x = xi, which vanishes, and E_j = 0 for
+    j <= M+1, which the M+2 faces interpolate exactly: those terms drop.
+    On the odd integers u = 2 x_q, G_j(xi) = R_j(2 xi)/2^j with R_j = u^j
+    mod the monic face polynomial, one integer remainder per power, and
+    the sum is formed in integers scaled by 2^n (n+1)!.  The leading term
+    lambda_h(s, M+1) equals mu_h(s, M+1).
     """
     _require_expansion_order(s, order)
-    return _relocated(s, order, mu_h, averaged=True)
+    faces = range(-2 * s.m_minus - 1, 2 * s.m_plus + 2, 2)
+    acc = _unreproduced(faces, order + 1, derivative=True)
+    den = factorial(order + 1) << order
+    return RatPoly.of(Fraction(a << k, den) for k, a in enumerate(acc))
 
 
 @_memo
 def lambda_f(s: Stencil, order: int) -> RatPoly:
     """Local-derivative error polynomial of the interpolant.
 
-    lambda_f(s, n) = sum_{l=0}^{n-M-1} ((-xi)^l / l!) * mu_f(s, n-l).
+    Each sample f(l) is the Taylor series of f about xi evaluated at l, so
+    with the cell cardinals alpha_f,l and n = order,
+
+        lambda_f(s, n)(xi) = sum_l alpha_f,l(xi) (l - xi)^n / n!
+            = -(1/n!) sum_{j=M+1}^{n} C(n, j) (-xi)^(n-j) e_j(xi),
+
+    with e_j = xi^j - (xi^j mod omega), omega the node polynomial.  The
+    binomial sum of the xi^j alone is (xi - xi)^n = 0, and e_j = 0 for
+    j <= M, which the interpolant reproduces: those terms drop.  The sum is
+    formed in integers over n!, one remainder per power.
     """
     _require_expansion_order(s, order)
-    return _relocated(s, order, mu_f, averaged=False)
+    acc = _unreproduced(s.offsets(), order, derivative=False)
+    return RatPoly.of(Fraction(a, factorial(order)) for a in acc)
 
 
 def _face_moments(s: Stencil, coeffs, n_max: int) -> tuple[list[int], int]:

@@ -23,8 +23,11 @@ The inverse Vandermonde matrix is also reached by the binomial shift of the
 Stirling closed form on {0, ..., M}, its Stirling numbers from the textbook
 recurrence, the error generators nu by the moments of its rows
 against the powers of the nodes, and the local-derivative error polynomials
-by polynomial powers: their brackets, and the Taylor expansion of every
-sample about the evaluation point in the cardinal basis.  The polynomial gcd
+by polynomial powers: their brackets, the Taylor expansion of every
+sample about the evaluation point in the cardinal basis, and the relocation
+loop that re-centres the mu expansions on the evaluation point, which the
+package's integer remainder sums replaced; mu_h also by its explicit form
+in `RatPoly` arithmetic.  The polynomial gcd
 is also reached by the integer subresultant remainder sequence, on the
 step-by-step pseudo-remainder that the package's integer long division
 replaced, and the square-free part by the rational quotient of p by that
@@ -39,7 +42,7 @@ from functools import cache
 from math import comb, factorial, gcd, lcm
 from typing import Iterable, Union
 
-from reconkernel.deconv import _index, tau
+from reconkernel.deconv import _index, shifted_taylor_poly, tau
 from reconkernel.exact import (
     InvariantError,
     RatFunction,
@@ -53,14 +56,14 @@ from reconkernel.exact import (
     cauchy_root_bound,
     poly_definite_integral,
 )
-from reconkernel.recon import _coeff_tuple, basis, face_coeffs
-from reconkernel.vandermonde import CoeffTable, Stencil, inv_vandermonde
+from reconkernel.recon import _coeff_tuple, basis, face_coeffs, pair_h_from_f, poly_sliding_average
+from reconkernel.vandermonde import CoeffTable, Stencil, _power_interpolant, inv_vandermonde
 from reconkernel.weno import (
     PoleReport,
     SmoothnessForm,
     WeightFamily,
     _require_expansion_order,
-    lambda_h,
+    mu_f,
     mu_h,
     substencil,
 )
@@ -484,6 +487,41 @@ def lambda_h_power_oracle(s: Stencil, order: int) -> RatPoly:
     return total
 
 
+def _relocated(s: Stencil, order: int, mu, averaged: bool) -> RatPoly:
+    # sum_{l=0}^{n-M-1} mu(s, n-l) * k_l, with k_l = (-xi)^l/l! or, when
+    # averaged, its sliding average
+    total = RatPoly()
+    for l in range(order - s.m):
+        kernel = RatPoly.monomial(l, Fraction((-1) ** l, factorial(l)))
+        if averaged:
+            kernel = poly_sliding_average(kernel)
+        total = total + mu(s, order - l) * kernel
+    return total
+
+
+def lambda_h_relocation_oracle(s: Stencil, order: int) -> RatPoly:
+    """lambda_h(s, n) = sum_{l=0}^{n-M-1} mu_h(s, n-l) * k_l, the relocation loop.
+
+    Re-centers the mu_h expansion on the evaluation point: k_l is the
+    sliding average (`pair_f_from_h`) of (-xi)^l/l!, which trades the pivot
+    derivatives of the averaged field for derivatives of h itself.
+    """
+    _require_expansion_order(s, order)
+    return _relocated(s, order, mu_h, averaged=True)
+
+
+def lambda_f_relocation_oracle(s: Stencil, order: int) -> RatPoly:
+    """lambda_f(s, n) = sum_{l=0}^{n-M-1} ((-xi)^l / l!) * mu_f(s, n-l), the relocation loop."""
+    _require_expansion_order(s, order)
+    return _relocated(s, order, mu_f, averaged=False)
+
+
+def mu_h_explicit_oracle(s: Stencil, order: int) -> RatPoly:
+    """mu_h(s, n) = pair_h_from_f(x^n mod omega)/n! - shifted_taylor_poly(n), in `RatPoly` arithmetic."""
+    nu_h = RatPoly.of(pair_h_from_f(_power_interpolant(s, order).coeffs))
+    return nu_h * Fraction(1, factorial(order)) - shifted_taylor_poly(order)
+
+
 def lambda_f_cardinal_oracle(s: Stencil, order: int) -> RatPoly:
     """lambda_f(s, n)(xi) = sum_l alpha_f,l(xi) (l-xi)^n / n!, for n > M.
 
@@ -527,7 +565,7 @@ def Lambda_face_oracle(s: Stencil, order: int) -> Fraction:
 
 def Lambda_relocation_oracle(s: Stencil, order: int) -> Fraction:
     """Lambda(s, n) = lambda_h(s, n)(1/2): mu_h, the relocation loop and one evaluation at the face."""
-    return poly_eval_oracle(lambda_h(s, order), Fraction(1, 2))
+    return poly_eval_oracle(lambda_h_relocation_oracle(s, order), Fraction(1, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,10 @@ from oracles import (
     beta_form_product_oracle,
     lambda_f_cardinal_oracle,
     lambda_h_cardinal_oracle,
+    lambda_f_relocation_oracle,
     lambda_h_power_oracle,
+    lambda_h_relocation_oracle,
+    mu_h_explicit_oracle,
     sigma_family_recurrence_oracle,
     sigma_half_hypergeometric_oracle,
     sigma_half_recurrence_oracle,
@@ -412,6 +415,69 @@ class TestLambdaRoutesAgree:
             memoized.cache_clear()
         for kind, expansion in expected.items():
             assert error_expansion(s, kind, 10) == expansion
+
+
+#: every window with both bounds in -6..9 and at least two cells
+KERNEL_WINDOWS = [Stencil(a, b) for a in range(-6, 10) for b in range(-6, 10) if a + b >= 1]
+
+
+class TestRemainderKernel:
+    """lambda_h and lambda_f from the remainders x^j mod the node polynomial."""
+
+    def test_relocation_loop_on_every_small_window(self):
+        assert len(KERNEL_WINDOWS) == 165
+        cases = [(s, n) for s in KERNEL_WINDOWS for n in range(s.m + 1, s.m + 7)]
+        assert [c for c in cases if lambda_h(*c) != lambda_h_relocation_oracle(*c)] == []
+        assert [c for c in cases if lambda_f(*c) != lambda_f_relocation_oracle(*c)] == []
+        assert [c for c in cases if mu_h(*c) != mu_h_explicit_oracle(*c)] == []
+
+    @pytest.mark.parametrize("m", sorted({s.m for s in KERNEL_WINDOWS}))
+    def test_cardinal_routes_on_every_small_window(self, m):
+        cases = [(s, n) for s in KERNEL_WINDOWS if s.m == m for n in range(m + 1, m + 7)]
+        assert [c for c in cases if lambda_h(*c) != lambda_h_cardinal_oracle(*c)] == []
+        assert [c for c in cases if lambda_f(*c) != lambda_f_cardinal_oracle(*c)] == []
+
+    @pytest.mark.parametrize(
+        "s, orders",
+        [
+            (Stencil(-10**6, 10**6 + 7), range(8, 14)),
+            (Stencil(1, 1), (40,)),
+            (Stencil(17, 18), range(36, 41)),
+        ],
+        ids=str,
+    )
+    def test_far_window_and_the_cli_limit(self, s, orders):
+        for n in orders:
+            expected = lambda_h_relocation_oracle(s, n)
+            assert lambda_h(s, n) == expected == lambda_h_cardinal_oracle(s, n), n
+            expected = lambda_f_relocation_oracle(s, n)
+            assert lambda_f(s, n) == expected == lambda_f_cardinal_oracle(s, n), n
+
+    def test_builds_no_polynomial_product(self, monkeypatch):
+        # no mu, no basis, no inverse Vandermonde matrix and no RatPoly product
+        s = Stencil(2, 4)
+        expected = {kind: error_expansion(s, kind, 14) for kind in ("lambda-f", "lambda-h")}
+
+        def forbidden(*args):
+            raise AssertionError("a lambda expansion went through a polynomial route")
+
+        monkeypatch.setattr(RatPoly, "__mul__", forbidden)
+        for name in ("mu_f", "mu_h", "basis"):
+            monkeypatch.setattr(weno, name, forbidden)
+        monkeypatch.setattr(recon_module, "inv_vandermonde", forbidden)
+        lambda_f.cache_clear()
+        lambda_h.cache_clear()
+        for kind, expansion in expected.items():
+            assert error_expansion(s, kind, 14) == expansion
+
+    def test_remainders_are_the_long_division(self):
+        for nodes in (range(-3, 4), range(-7, 8, 2), range(5, 9), range(0, 1)):
+            omega = vandermonde_module._node_poly(nodes)
+            rems = vandermonde_module._power_remainders(nodes, 30)
+            for j, r in enumerate(rems):
+                assert len(r) == len(nodes)
+                expected = exact_module._divmod_int([0] * j + [1], omega)[1]
+                assert r == expected + [0] * (len(r) - len(expected)), (nodes, j)
 
 
 class TestSubstencilWeights:
@@ -864,6 +930,10 @@ BAD_VALUE_CASES = [
     ("SmoothnessForm.value", beta_form(S22).value, (5,)),
     ("ConvergenceReport-sizes", harness.ConvergenceReport, (S22, "face", 5, 5, 3.0, (0,))),
     ("ConvergenceReport-target", harness.ConvergenceReport, (S22, "edge", (0.5,), (1e-3,), 3.0, (0,))),
+    ("ConvergenceReport-fit", harness.ConvergenceReport, (Stencil(1, 1), "face", (0.5,), (1e-3,), "x", 5)),
+    ("ConvergenceReport-fit-index", harness.ConvergenceReport, (S22, "face", (0.5,), (1e-3,), 3.0, (1,))),
+    ("ReconstructionBasis-stencil", recon_module.ReconstructionBasis, ("x", 1, 2)),
+    ("ReconstructionBasis-members", recon_module.ReconstructionBasis, (Stencil(1, 1), (1,), (2,))),
     ("alpha_h_at", basis(Stencil(1, 1)).alpha_h_at, (-3,)),
     ("alpha_f_at", basis(Stencil(1, 1)).alpha_f_at, (-4,)),
 ]
@@ -873,8 +943,8 @@ BAD_VALUE_CASES = [
 def test_unhashable_or_non_numeric_argument_is_a_validation_error(call, args):
     # a list where a memoized call needs a hashable argument, a string where
     # a number belongs, a scalar where a sequence belongs, a float where a
-    # literal belongs and an offset outside the window fail before any
-    # arithmetic
+    # literal belongs, an offset or a fit index outside its range and a
+    # basis family of the wrong size fail before any arithmetic
     with pytest.raises(ValidationError):
         call(*args)
 

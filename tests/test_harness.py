@@ -238,6 +238,18 @@ class TestConvergenceStudy:
         report = convergence_study(Stencil(1, 1), target, MAX_GRID_LEVELS)
         assert report.grid_sizes[-1] == 2.0**-1022
 
+    @pytest.mark.parametrize("target", ["face", "derivative"])
+    @pytest.mark.parametrize(
+        "s",
+        # M = 4 windows right of the pivot: at m_plus = 10992 the float error
+        # overflowed, from 11357 on the exp of the first sample
+        [Stencil(4 - 10992, 10992), Stencil(4 - 11357, 11357), Stencil(-100000, 100004)],
+        ids=str,
+    )
+    def test_windows_whose_error_overflows_a_float_are_rejected(self, s, target):
+        with pytest.raises(ValidationError, match="too far from the pivot"):
+            convergence_study(s, target)
+
     def test_report_validation(self):
         with pytest.raises(ValidationError):
             ConvergenceReport(Stencil(1, 1), "face", (0.5, 0.25), (1e-3,), 3.0, (0,))

@@ -29,7 +29,9 @@ from oracles import (
     deconv_matrix,
     deconv_matrix_inverse,
     face_coeffs_shu_oracle,
+    lambda_h_relocation_oracle,
     matmul,
+    mu_h_explicit_oracle,
     pair_map_fraction_oracle,
     poly_mul_fraction_oracle,
     poly_sliding_average_oracle,
@@ -192,9 +194,11 @@ class TestIntegerPairMap:
             assert pair_f_from_h(column) == pair_map_fraction_oracle(column, deconv.deconv_forward_coeff)
 
     def test_error_expansions_match_the_fraction_loops(self, monkeypatch):
+        # the integer sums of mu_h and lambda_h against the explicit mu_h and
+        # the relocation loop, run on the Fraction pair map and product
         windows = [Stencil(1, 1), Stencil(0, 4), Stencil(3, 4), Stencil(-2, 9), Stencil(6, 6)]
-        kinds = ("h", "lambda-h")
-        expected = [weno.error_expansion(s, kind) for s in windows for kind in kinds]
+        routes = {"h": mu_h_explicit_oracle, "lambda-h": lambda_h_relocation_oracle}
+        expected = [weno.error_expansion(s, kind).terms for s in windows for kind in routes]
         calls = {"pair map": 0, "product": 0}
 
         def pair_map(c, weight):
@@ -212,7 +216,11 @@ class TestIntegerPairMap:
             for memoized in vars(module).values():
                 if hasattr(memoized, "cache_clear"):
                     memoized.cache_clear()
-        assert [weno.error_expansion(s, kind) for s in windows for kind in kinds] == expected
+        orders = {s: range(s.m + 1, s.m + weno.DEFAULT_MARGIN + 1) for s in windows}
+        fraction_routes = [
+            tuple((n, route(s, n)) for n in orders[s]) for s in windows for route in routes.values()
+        ]
+        assert fraction_routes == expected
         assert calls["pair map"] > 0 and calls["product"] > 0
 
 

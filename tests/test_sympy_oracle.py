@@ -1,6 +1,6 @@
 """sympy as a third route to the face coefficients, the tau numbers, the
 inverse Vandermonde matrices, the face error constants Lambda, the
-smoothness forms, the linear weights, the weight-functions, the polynomial
+local-derivative error polynomials lambda_h, the smoothness forms, the linear weights, the weight-functions, the polynomial
 gcd and the Sturm census of the weight denominators.
 
 Runs only where sympy is installed; it is not a dependency of the package.
@@ -21,6 +21,7 @@ from reconkernel.vandermonde import Stencil, inv_vandermonde
 from reconkernel.weno import (
     Lambda,
     beta_form,
+    lambda_h,
     sigma_pole_analysis,
     sigma_values_at_half,
     sigma_weights,
@@ -193,6 +194,26 @@ def test_weight_functions_solve_the_first_cell_equations(s, levels):
         lead = sympy.Poly(den, X).LC()
         assert as_fraction_coeffs(num / lead) == w.num.coeffs, k
         assert as_fraction_coeffs(den / lead) == w.den.coeffs, k
+
+
+@pytest.mark.parametrize(
+    "s", [Stencil(1, 1), Stencil(0, 2), Stencil(3, 1), Stencil(-2, 5), Stencil(12, -9)], ids=str
+)
+def test_lambda_h_differentiates_the_face_interpolant(s):
+    # the reconstruction is the derivative of the polynomial interpolating
+    # the primitive of the averages at the M+2 faces; h = (t - x)^n/n! about
+    # the point x has primitive (t - x)^(n+1)/(n+1)! and h(x) = 0, so the
+    # derivative of its face interpolant at t = x is lambda_h(s, n)(x)
+    t = sympy.Symbol("t")
+    faces = [l - HALF for l in s.offsets()] + [s.m_plus + HALF]
+    cardinals = [
+        sympy.prod([(t - p) / (q - p) for p in faces if p != q]) for q in faces
+    ]
+    slopes = [sympy.diff(c, t) for c in cardinals]
+    for n in range(s.m + 1, s.m + 4):
+        primitive = [(q - X) ** (n + 1) / sympy.factorial(n + 1) for q in faces]
+        error = sum(v * d for v, d in zip(primitive, slopes)).subs(t, X)
+        assert lambda_h(s, n).coeffs == as_fraction_coeffs(sympy.expand(error)), n
 
 
 def random_poly(rng: random.Random, degree: int) -> RatPoly:
