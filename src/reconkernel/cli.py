@@ -13,6 +13,8 @@ import csv
 import json
 import sys
 from fractions import Fraction
+from math import lcm
+from operator import sub
 
 from .deconv import tau
 from .exact import (
@@ -25,7 +27,7 @@ from .exact import (
 )
 from .harness import MAX_GRID_LEVELS, convergence_study, halving_slope, non_interpolation_check
 from .recon import basis, face_coeffs
-from .vandermonde import CoeffTable, Stencil, inv_vandermonde, vandermonde
+from .vandermonde import Stencil, _faces, inv_vandermonde, vandermonde
 from .weno import (
     DEFAULT_MARGIN,
     Lambda,
@@ -107,23 +109,53 @@ def _cmd_tau(args: argparse.Namespace):
     return {"n_max": n_max, "values": values}, ["n", "tau"], list(enumerate(values))
 
 
-def _check_inverse(s: Stencil, vi: CoeffTable) -> None:
-    # V V^-1 = I in integers: column j of V^-1 times its common denominator
-    # d_j must take the value d_j at node j and 0 at every other node
-    nodes = list(s.offsets())
-    ok = vi.rows == vi.cols == len(nodes)
-    for j, col in enumerate(zip(*vi.entries)):
-        nums, den = _common_denominator(col)
-        ok = ok and all(_homogeneous_eval(nums, x, 1) == den * (i == j) for i, x in enumerate(nodes))
-    if not ok:
-        raise InvariantError(f"inverse check failed for stencil {s}")
+def _cardinal_miss(family, n: int, at, scale: int) -> "tuple[int, int | None] | None":
+    """The first (member, point) where the family is not cardinal, or None.
+
+    at(nums) gives scale times the n values of a polynomial with integer
+    coefficients nums at the points, so a member over its common
+    denominator d must give d * scale at its own point and 0 at the others.
+    n members of at most n coefficients that pass are the one cardinal
+    family; a member out of that shape misses with point None.
+    """
+    if len(family) != n:
+        return min(len(family), n), None
+    for l, coeffs in enumerate(family):
+        nums, den = _common_denominator(coeffs)
+        if len(nums) > n:
+            return l, None
+        for j, value in enumerate(at(nums)):
+            if value != den * scale * (l == j):
+                return l, j
+    return None
+
+
+def _node_values(s: Stencil):
+    return (lambda nums: [_homogeneous_eval(nums, x, 1) for x in s.offsets()]), 1
+
+
+def _cell_averages(s: Stencil):
+    # the antiderivative at the odd halves u/2, the faces, each average the
+    # step across its cell: with coefficients a_k L/(k+1), L = lcm(1..M+1),
+    # and padded to degree M+1, 2^(M+1) L A(u/2) is integer Horner in u
+    n = s.m + 1
+    big = lcm(*range(1, n + 1))
+
+    def at(nums):
+        anti = [0] + [a * (big // (k + 1)) for k, a in enumerate(nums)] + [0] * (n - len(nums))
+        ends = [_homogeneous_eval(anti, u, 2) for u in _faces(s)]
+        return list(map(sub, ends[1:], ends))
+
+    return at, big << n
 
 
 def _cmd_vandermonde(args: argparse.Namespace):
     s = _stencil(args)
     v = vandermonde(s)
     vi = inv_vandermonde(s)
-    _check_inverse(s, vi)
+    # V V^-1 = I: column j of V^-1 is the cardinal of node j
+    if _cardinal_miss(list(zip(*vi.entries)), s.m + 1, *_node_values(s)) is not None:
+        raise InvariantError(f"inverse check failed for stencil {s}")
     body = {"matrix": v.to_strings(), "inverse": vi.to_strings()}
     rows = [
         [name, i, j, value]
@@ -137,6 +169,17 @@ def _cmd_vandermonde(args: argparse.Namespace):
 def _cmd_basis(args: argparse.Namespace):
     s = _stencil(args)
     b = basis(s)
+    # alpha_f,l takes delta_lj at node j, and alpha_h,l averages delta_lj over cell j
+    for name, family, check, where in (
+        ("alpha_f", b.alpha_f, _node_values(s), "node"),
+        ("alpha_h", b.alpha_h, _cell_averages(s), "cell"),
+    ):
+        miss = _cardinal_miss([p.coeffs for p in family], s.m + 1, *check)
+        if miss is not None:
+            member = f"{name} at offset {miss[0] - s.m_minus} of {s}"
+            if miss[1] is None:
+                raise InvariantError(f"{member} has degree above {s.m}")
+            raise InvariantError(f"{member} is not cardinal at {where} {miss[1] - s.m_minus}")
     body = {
         "alpha_f": [p.to_strings() for p in b.alpha_f],
         "alpha_h": [p.to_strings() for p in b.alpha_h],

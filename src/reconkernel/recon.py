@@ -3,14 +3,15 @@
 A polynomial f of degree M has a unique polynomial h of the same degree whose
 unit-width sliding average is f.  The coefficient maps between the two are
 sparse triangular sums (`pair_f_from_h`, `pair_h_from_f`); the second is the
-deconvolution map, and every reconstruction in the package goes through it.
+deconvolution map, with the tau numbers as its weights.
 
-On a stencil, interpolating the cell averages f_{i+l} and deconvolving yields
-the reconstructing polynomial.  Both polynomials are expressed in a cardinal
-basis: p_f = sum alpha_f,l(xi) f_{i+l} interpolates, p_h = sum alpha_h,l(xi)
-f_{i+l} reconstructs, with xi the offset from the pivot in cell widths.
-The face-value coefficients, alpha_h at xi = 1/2, have an integer product
-form of their own and are computed without the basis.
+On a stencil, p_f = sum alpha_f,l(xi) f_{i+l} interpolates the cell averages
+on the M+1 cell offsets, alpha_f,l the inverse Vandermonde columns, and
+p_h = sum alpha_h,l(xi) f_{i+l} reconstructs, with xi the offset from the
+pivot in cell widths: the derivative of the interpolant of the primitive on
+the M+2 cell faces (Shu 2009), so alpha_h,l sums the face cardinal slopes
+right of cell l.  The face-value coefficients, alpha_h at xi = 1/2, have an
+integer product form of their own and are computed without the basis.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .exact import (
     _tuple,
     as_poly,
 )
-from .vandermonde import Stencil, _stencil, inv_vandermonde
+from .vandermonde import Stencil, _cardinals, _faces, _stencil, inv_vandermonde
 
 __all__ = [
     "PairCoeffs",
@@ -58,20 +59,17 @@ def _coeff_tuple(c: CoeffList) -> tuple[Fraction, ...]:
     return tuple(_rat(x) for x in _tuple(c, "expected a coefficient list"))
 
 
-def _pair_sums(nums: list[int], ws: list[int]) -> list[int]:
-    # sum_k ws[k] (m+2k)! nums[m+2k] for every m: the pair map in integers,
-    # before the division by m!; ws may run past the list
-    scaled = [a * factorial(j) for j, a in enumerate(nums)]
-    return [sum(map(mul, ws, scaled[m::2])) for m in range(len(nums))]
-
-
 def _pair_map(c: CoeffList, weight) -> list[Fraction]:
     # c_out[m] = (1/m!) sum_k w_k (m+2k)! c[m+2k], w_k = weight(k), summed in
     # integers: c = N/den and w = W/dw over common denominators, and one
     # Fraction per output coefficient
     nums, den = _common_denominator(_coeff_tuple(c))
     ws, dw = _common_denominator([weight(k) for k in range((len(nums) + 1) // 2)])
-    return [Fraction(t, den * dw * factorial(m)) for m, t in enumerate(_pair_sums(nums, ws))]
+    scaled = [a * factorial(j) for j, a in enumerate(nums)]
+    return [
+        Fraction(sum(map(mul, ws, scaled[m::2])), den * dw * factorial(m))
+        for m in range(len(nums))
+    ]
 
 
 def pair_f_from_h(c_h: CoeffList) -> list[Fraction]:
@@ -169,20 +167,23 @@ class ReconstructionBasis:
 def basis(s: Stencil) -> ReconstructionBasis:
     """The alpha_f / alpha_h basis polynomials of a stencil, built once.
 
-    alpha_f,l collects column l of the inverse Vandermonde matrix; alpha_h,l
-    is its deconvolution, `pair_h_from_f` of that column.  Construction
-    cross-checks that every member has degree exactly M and that each family
-    sums to the constant 1.
+    alpha_f,l collects column l of the inverse Vandermonde matrix; alpha_h,l =
+    sum_{q > l} L_q' sums the face cardinals L_q, in integers at the odd
+    u = 2 xi over one denominator, from the right face inwards, then takes
+    d/dxi.  Construction cross-checks that every member has degree exactly M
+    and that each family sums to the constant 1.
     """
     _stencil(s)
-    vinv = inv_vandermonde(s)
     m_total = s.m
-    alpha_f = []
+    alpha_f = [RatPoly.of(col) for col in zip(*inv_vandermonde(s).entries)]
+    cards = _cardinals(_faces(s))
+    weights, den = _common_denominator([Fraction(1, w) for _, w in cards])
+    suffix = [0] * (m_total + 2)
     alpha_h = []
-    for pos in range(m_total + 1):
-        f_coeffs = [vinv[m, pos] for m in range(m_total + 1)]
-        alpha_f.append(RatPoly.of(f_coeffs))
-        alpha_h.append(RatPoly.of(pair_h_from_f(f_coeffs)))
+    for c, (q, _) in zip(weights[:0:-1], cards[:0:-1]):
+        suffix = [a + c * b for a, b in zip(suffix, q)]
+        alpha_h.append(RatPoly.of(Fraction((k * a) << k, den) for k, a in enumerate(suffix[1:], 1)))
+    alpha_h.reverse()
 
     for family in (alpha_f, alpha_h):
         if any(p.degree != m_total for p in family):

@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .exact import (
-    RatPoly,
     Rational,
     ValidationError,
     _divmod_int,
@@ -131,6 +130,11 @@ def vandermonde(s: Stencil) -> CoeffTable:
     return CoeffTable.of([[Fraction(ell**j) for j in range(m + 1)] for ell in s.offsets()])
 
 
+def _faces(s: Stencil) -> range:
+    """The M+2 cell faces x_q = q - m_minus - 1/2 of the stencil, as the odd integers u = 2 x_q."""
+    return range(-2 * s.m_minus - 1, 2 * s.m_plus + 2, 2)
+
+
 def _node_poly(nodes: Iterable[int]) -> list[int]:
     """Ascending integer coefficients of the monic node polynomial prod_l (x - l)."""
     omega = [1]
@@ -186,11 +190,6 @@ def _power_remainders(nodes: Iterable[int], n: int) -> list[list[int]]:
     return out
 
 
-def _power_interpolant(s: Stencil, k: int) -> RatPoly:
-    """x^k mod the node polynomial: the interpolant of x^k on the stencil."""
-    return RatPoly.of(_power_remainders(s.offsets(), k)[k])
-
-
 def nu(s: Stencil, m: int, k: int) -> Fraction:
     """Coefficient m of the interpolant of x^k on the stencil's nodes.
 
@@ -201,4 +200,4 @@ def nu(s: Stencil, m: int, k: int) -> Fraction:
     _stencil(s)
     _int(m, f"row index {m} outside 0..{s.m}", lo=0, hi=s.m)
     _int(k, "power must be a nonnegative integer", lo=0)
-    return _power_interpolant(s, k).coeff(m)
+    return Fraction(_power_remainders(s.offsets(), k)[k][m])

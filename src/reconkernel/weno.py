@@ -3,27 +3,29 @@
 The reconstruction and interpolation errors of a stencil admit exact
 expansions in powers of the cell width: mu polynomials weight derivatives at
 the pivot, lambda polynomials weight derivatives at the evaluation point, and
-the constants Lambda = lambda_h(1/2) govern the face-value error.  mu_h is
-in explicit form: a deconvolved interpolant of degree <= M less a tau tail.
-Lambda is one integer sum over the face coefficients, the face moment of
-order n, whose moments of degree <= M certify those coefficients exact.
+the constants Lambda = lambda_h(1/2) govern the face-value error.  Lambda
+is one integer sum over the face coefficients, the face moment of order n,
+whose moments of degree <= M certify those coefficients exact.
 
-Both lambda polynomials come from one integer kernel, the remainders
-x^j mod a monic node polynomial, each one step from the last.  On the M+1
-cell offsets, with e_j = xi^j - (xi^j mod omega),
+All four error polynomials are the unreproduced part of one function under
+one integer kernel, the remainders x^j mod a monic node polynomial, each
+one step from the last.  On the M+1 cells, with e_j = xi^j - (xi^j mod
+omega), they are the interpolation errors of x^n/n! and (x - xi)^n/n!:
 
-    lambda_f(s, n) = -(1/n!) sum_{j=M+1}^{n} C(n, j) (-xi)^(n-j) e_j;
+    mu_f(s, n) = -e_n/n!,
+    lambda_f(s, n) = -(1/n!) sum_{j=M+1}^{n} C(n, j) (-xi)^(n-j) e_j.
 
-on the M+2 faces, where the reconstruction is the derivative of the
-interpolant of the primitive, with E_j = d/dxi [xi^j - R_j(2 xi)/2^j] and
-R_j = u^j mod the face polynomial in u = 2x, whose nodes are odd integers,
+The reconstruction is the derivative of the interpolant of the primitive on
+the M+2 faces, the odd integers u = 2x; with R_j = u^j mod the face
+polynomial and E_j = d/dxi [xi^j - R_j(2 xi)/2^j], its errors come from the
+primitives sum_k tau_k x^(n+1-k)/(n+1-k)!, of the field averaging to
+x^n/n!, and (x - xi)^(n+1)/(n+1)!, of the Taylor term of h about xi:
 
+    mu_h(s, n) = -sum_{j=M+2}^{n+1} tau_(n+1-j)/j! E_j,
     lambda_h(s, n) = -(1/(n+1)!) sum_{j=M+2}^{n+1} C(n+1, j) (-xi)^(n+1-j) E_j.
 
-The terms the interpolant reproduces exactly drop out: e_j and E_j vanish
-below the number of nodes, and the binomial sums of the bare powers are
-(xi - xi)^n and its derivative, zero.  No basis, inverse Vandermonde
-matrix or polynomial product is built.
+e_j and E_j vanish below the number of nodes, and no basis, inverse
+Vandermonde matrix, deconvolution or polynomial product is built.
 
 A stencil of M+1 cells splits into K+1 overlapping substencils of M-K+1
 cells each.  The rational weight-functions sigma combine the substencil
@@ -66,13 +68,13 @@ from .exact import (
     cauchy_root_bound,
 )
 from .deconv import tau
-from .recon import _pair_sums, basis, face_coeffs
+from .recon import basis, face_coeffs
 from .vandermonde import (
     CoeffTable,
     Stencil,
     _cardinals,
+    _faces,
     _node_poly,
-    _power_interpolant,
     _power_remainders,
     _stencil,
 )
@@ -110,25 +112,50 @@ def _require_expansion_order(s: Stencil, order: int) -> None:
         )
 
 
+def _unreproduced(nodes: range, n: int, terms, d: int) -> list[int]:
+    # -sum c x^shift e_j over the (j, c, shift) terms, e_j = x^j - (x^j mod
+    # omega) or, for d = 1, its derivative, as integer coefficients of
+    # x^0 .. x^(n - d), with shift + j <= n; e_j = 0 below the number of
+    # nodes, which the interpolant reproduces
+    rems = _power_remainders(nodes, n)
+    acc = [0] * (n + 1 - d)
+    for j, c, shift in terms:
+        if j < len(nodes):
+            continue
+        acc[shift + j - d] -= c * j**d
+        for i, r in enumerate(rems[j][d:], d):
+            acc[shift + i - d] += c * i**d * r
+    return acc
+
+
+def _binomial_terms(n: int) -> list[tuple[int, int, int]]:
+    # (x - xi)^n = sum_j C(n, j) (-xi)^(n-j) x^j
+    return [(j, (-1) ** (n - j) * comb(n, j), n - j) for j in range(n + 1)]
+
+
+def _in_xi(coeffs: list[int], den: int) -> RatPoly:
+    # p(u)/den with u = 2 xi: coefficient m scales by 2^m
+    return RatPoly.of(Fraction(c << m, den) for m, c in enumerate(coeffs))
+
+
 def _mu_f_any(s: Stencil, order: int) -> RatPoly:
     # no floor check: below M+1 x^order is its own interpolant, so this is
     # the zero polynomial, which is exactly the property the tests pin down
-    error = _power_interpolant(s, order) - RatPoly.monomial(order)
-    return error * Fraction(1, factorial(order))
+    acc = _unreproduced(s.offsets(), order, [(order, 1, 0)], 0)
+    return RatPoly.of(Fraction(a, factorial(order)) for a in acc)
 
 
 def _mu_h_any(s: Stencil, order: int) -> RatPoly:
-    # _mu_f_any deconvolved term by term: x^order/order! deconvolves to
-    # shifted_taylor_poly(order), sum_k tau_2k x^(order-2k)/(order-2k)!, so
-    # only the interpolant nu (degree <= M) goes through the pair map; both
-    # over the denominator m! order! dw of coefficient m, in integers
-    nu = _power_remainders(s.offsets(), order)[order]
-    ws, dw = _common_denominator([tau(2 * k) for k in range(order // 2 + 1)])
-    sums = _pair_sums(nu, ws) + [0] * (order + 1 - len(nu))
-    scale = factorial(order)
-    for k, w in enumerate(ws):
-        sums[order - 2 * k] -= scale * w
-    return RatPoly.of(Fraction(t, factorial(m) * scale * dw) for m, t in enumerate(sums))
+    # E_j weighs tau_(n+1-j)/j! = T_(n+1-j) (n+1)!/j! 2^(n+1-j) over
+    # (n+1)! 2^n dt in u = 2 xi, with tau = T/dt; below order M+1 the faces
+    # reproduce Phi, and this is zero, as above
+    ts, dt = _common_denominator([tau(k) for k in range(order - s.m)])
+    top = factorial(order + 1)
+    terms = [
+        (j, (ts[order + 1 - j] * (top // factorial(j))) << (order + 1 - j), 0)
+        for j in range(s.m + 2, order + 2)
+    ]
+    return _in_xi(_unreproduced(_faces(s), order + 1, terms, 1), (top << order) * dt)
 
 
 @_memo
@@ -147,56 +174,36 @@ def mu_f(s: Stencil, order: int) -> RatPoly:
 def mu_h(s: Stencil, order: int) -> RatPoly:
     """Pivot-derivative error polynomial of the reconstruction.
 
-    The deconvolution (`pair_h_from_f`) of mu_f(s, n), in explicit form:
-    1/n! times the deconvolved nu corrections sum_m nu_{m,n} xi^m, of degree
-    <= M, less the tau tail `shifted_taylor_poly(n)`, which is the
-    deconvolution of xi^n/n!; degree exactly n.  Both parts are summed in
-    integers over one denominator per coefficient.
+    The averaged field's Taylor term x^n/n! is the sliding average of
+    Phi_n', Phi_n(x) = B_(n+1)(x + 1/2)/(n+1)! = sum_k tau_k
+    x^(n+1-k)/(n+1-k)!, and the reconstruction differentiates the face
+    interpolant I of the primitive, so mu_h(s, n) = -d/dxi [Phi_n - I Phi_n]
+    = -sum_{j=M+2}^{n+1} tau_(n+1-j)/j! E_j in the kernel of `lambda_h`,
+    in integers; degree exactly n.  It is the deconvolution
+    (`pair_h_from_f`) of mu_f(s, n).
     """
     _require_expansion_order(s, order)
     return _mu_h_any(s, order)
-
-
-def _unreproduced(nodes: range, n: int, derivative: bool) -> list[int]:
-    # -sum_j C(n, j) (-x)^(n-j) e_j(x), e_j = x^j - (x^j mod omega), with
-    # e_j replaced by its derivative when asked, as integer coefficients of
-    # x^0 .. x^(n - derivative); e_j = 0 below the degree of omega
-    rems = _power_remainders(nodes, n)
-    d = int(derivative)
-    acc = [0] * (n + 1 - d)
-    for j in range(len(nodes), n + 1):
-        c = (-1) ** (n - j) * comb(n, j)
-        acc[n - d] -= c * j**d
-        for i, r in enumerate(rems[j][d:], d):
-            acc[n - j + i - d] += c * i**d * r
-    return acc
 
 
 @_memo
 def lambda_h(s: Stencil, order: int) -> RatPoly:
     """Local-derivative error polynomial of the reconstruction.
 
-    The reconstruction is the derivative of the polynomial interpolating the
-    primitive of the averages at the M+2 cell faces x_q, so with the face
-    cardinals L_q and n = order,
+    With the face cardinals L_q and n = order,
 
         lambda_h(s, n)(xi) = sum_q L_q'(xi) (x_q - xi)^(n+1) / (n+1)!
             = -(1/(n+1)!) sum_{j=M+2}^{n+1} C(n+1, j) (-xi)^(n+1-j) E_j(xi),
 
-    with E_j = d/dxi [xi^j - G_j(xi)] and G_j = sum_q L_q x_q^j the face
-    interpolant of x^j.  The binomial sum of the xi^j alone is the
-    derivative of (x - xi)^(n+1) at x = xi, which vanishes, and E_j = 0 for
-    j <= M+1, which the M+2 faces interpolate exactly: those terms drop.
-    On the odd integers u = 2 x_q, G_j(xi) = R_j(2 xi)/2^j with R_j = u^j
-    mod the monic face polynomial, one integer remainder per power, and
-    the sum is formed in integers scaled by 2^n (n+1)!.  The leading term
-    lambda_h(s, M+1) equals mu_h(s, M+1).
+    the slope at xi of the face interpolant of the primitive of the Taylor
+    term (x - xi)^n/n!, which vanishes there.  The binomial sum of the bare
+    xi^j is the derivative of (x - xi)^(n+1) at x = xi, zero, and E_j = 0
+    for j <= M+1: those terms drop.  The sum is formed in integers scaled by
+    2^n (n+1)!.  The leading term lambda_h(s, M+1) equals mu_h(s, M+1).
     """
     _require_expansion_order(s, order)
-    faces = range(-2 * s.m_minus - 1, 2 * s.m_plus + 2, 2)
-    acc = _unreproduced(faces, order + 1, derivative=True)
-    den = factorial(order + 1) << order
-    return RatPoly.of(Fraction(a << k, den) for k, a in enumerate(acc))
+    acc = _unreproduced(_faces(s), order + 1, _binomial_terms(order + 1), 1)
+    return _in_xi(acc, factorial(order + 1) << order)
 
 
 @_memo
@@ -207,15 +214,13 @@ def lambda_f(s: Stencil, order: int) -> RatPoly:
     with the cell cardinals alpha_f,l and n = order,
 
         lambda_f(s, n)(xi) = sum_l alpha_f,l(xi) (l - xi)^n / n!
-            = -(1/n!) sum_{j=M+1}^{n} C(n, j) (-xi)^(n-j) e_j(xi),
+            = -(1/n!) sum_{j=M+1}^{n} C(n, j) (-xi)^(n-j) e_j(xi).
 
-    with e_j = xi^j - (xi^j mod omega), omega the node polynomial.  The
-    binomial sum of the xi^j alone is (xi - xi)^n = 0, and e_j = 0 for
-    j <= M, which the interpolant reproduces: those terms drop.  The sum is
-    formed in integers over n!, one remainder per power.
+    The binomial sum of the bare xi^j is (xi - xi)^n = 0, and e_j = 0 for
+    j <= M: those terms drop.  The sum is formed in integers over n!.
     """
     _require_expansion_order(s, order)
-    acc = _unreproduced(s.offsets(), order, derivative=False)
+    acc = _unreproduced(s.offsets(), order, _binomial_terms(order), 0)
     return RatPoly.of(Fraction(a, factorial(order)) for a in acc)
 
 
@@ -385,11 +390,6 @@ def _interpolate(cards: list[tuple[list[int], int]], values) -> tuple[list[int],
     return coeffs, den
 
 
-def _in_xi(coeffs: list[int], den: int) -> RatPoly:
-    # p(u)/den with u = 2 xi: coefficient m scales by 2^m
-    return RatPoly.of(Fraction(c << m, den) for m, c in enumerate(coeffs))
-
-
 @_memo
 def sigma_weights(s: Stencil, levels: int) -> WeightFamily:
     """Weight-functions sigma of the K-fold subdivision, fully reduced.
@@ -420,8 +420,8 @@ def sigma_weights(s: Stencil, levels: int) -> WeightFamily:
     # D_(-1) = 1, D_0 .. D_(K-1), D_K = 1
     factors = [[1]]
     for j in range(levels):
-        # P'(u) with P(u) = prod (u - 2l - 1) over the cells l of substencil j
-        faces = _node_poly(2 * l + 1 for l in substencil(s, levels, j).offsets())
+        # P'(u) with P(u) vanishing on the right faces of the cells of substencil j
+        faces = _node_poly(_faces(substencil(s, levels, j))[1:])
         factors.append(_positive_primitive([m * c for m, c in enumerate(faces)][1:]))
     factors.append([1])
     # each factor, then each denominator D_(k-1) D_k, with its values at the nodes

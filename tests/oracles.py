@@ -26,8 +26,11 @@ against the powers of the nodes, and the local-derivative error polynomials
 by polynomial powers: their brackets, the Taylor expansion of every
 sample about the evaluation point in the cardinal basis, and the relocation
 loop that re-centres the mu expansions on the evaluation point, which the
-package's integer remainder sums replaced; mu_h also by its explicit form
-in `RatPoly` arithmetic.  The polynomial gcd
+package's integer remainder sums replaced.  Two deconvolution routes
+stand beside the face route of the package: the reconstructing basis by
+`pair_h_from_f` of each inverse-Vandermonde column, and mu_h by its
+explicit form, the deconvolved interpolant of x^n less the tau tail, in
+`RatPoly` arithmetic.  The polynomial gcd
 is also reached by the integer subresultant remainder sequence, on the
 step-by-step pseudo-remainder that the package's integer long division
 replaced, and the square-free part by the rational quotient of p by that
@@ -57,7 +60,7 @@ from reconkernel.exact import (
     poly_definite_integral,
 )
 from reconkernel.recon import _coeff_tuple, basis, face_coeffs, pair_h_from_f, poly_sliding_average
-from reconkernel.vandermonde import CoeffTable, Stencil, _power_interpolant, inv_vandermonde
+from reconkernel.vandermonde import CoeffTable, Stencil, inv_vandermonde
 from reconkernel.weno import (
     PoleReport,
     SmoothnessForm,
@@ -517,9 +520,27 @@ def lambda_f_relocation_oracle(s: Stencil, order: int) -> RatPoly:
 
 
 def mu_h_explicit_oracle(s: Stencil, order: int) -> RatPoly:
-    """mu_h(s, n) = pair_h_from_f(x^n mod omega)/n! - shifted_taylor_poly(n), in `RatPoly` arithmetic."""
-    nu_h = RatPoly.of(pair_h_from_f(_power_interpolant(s, order).coeffs))
+    """mu_h(s, n) = pair_h_from_f(x^n mod omega)/n! - shifted_taylor_poly(n), in `RatPoly` arithmetic.
+
+    The interpolant x^n mod omega comes from the rational elimination loop
+    on the node polynomial built as a product of its linear factors.
+    """
+    omega = RatPoly.constant(1)
+    for ell in s.offsets():
+        omega = omega * RatPoly((Fraction(-ell), Fraction(1)))
+    interpolant = poly_divmod_oracle(RatPoly.monomial(order), omega)[1]
+    nu_h = RatPoly.of(pair_h_from_f(interpolant.coeffs))
     return nu_h * Fraction(1, factorial(order)) - shifted_taylor_poly(order)
+
+
+def basis_deconvolution_oracle(s: Stencil) -> tuple[RatPoly, ...]:
+    """alpha_h,l = pair_h_from_f of inverse-Vandermonde column l, the deconvolution route.
+
+    The reconstruction of the cell averages is the deconvolution of their
+    interpolant, so each reconstructing cardinal deconvolves a cell
+    cardinal.
+    """
+    return tuple(RatPoly.of(pair_h_from_f(col)) for col in zip(*inv_vandermonde(s).entries))
 
 
 def lambda_f_cardinal_oracle(s: Stencil, order: int) -> RatPoly:

@@ -10,6 +10,8 @@ import pytest
 import reconkernel.cli as cli
 from reconkernel.cli import main
 from reconkernel.exact import RatPoly
+from reconkernel.recon import ReconstructionBasis
+from reconkernel.vandermonde import CoeffTable
 from reconkernel.weno import ErrorExpansion
 
 SMOKE_COMMANDS = {
@@ -284,9 +286,36 @@ class TestExitCodes:
     )
     def test_tampered_inverse_exits_three(self, tamper, capsys, monkeypatch):
         right = cli.inv_vandermonde(cli.Stencil(2, 2))
-        wrong = cli.CoeffTable.of(tamper([list(r) for r in right.entries]))
+        wrong = CoeffTable.of(tamper([list(r) for r in right.entries]))
         monkeypatch.setattr(cli, "inv_vandermonde", lambda s: wrong)
         code, out, err = run(["vandermonde", "--stencil", "2", "2"], capsys)
         assert code == 3
         assert out == ""
         assert err == "invariant violated: inverse check failed for stencil (2,2)\n"
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            # moving a cardinal between two members keeps the sum at 1 and
+            # every degree at M
+            (lambda f, h: (f[:2] + (f[2] + f[4], f[3] - f[4], f[4]), h),
+             "alpha_f at offset 0 of (2,2) is not cardinal at node 2"),
+            (lambda f, h: (f, h[:2] + (h[2] + h[4], h[3] - h[4], h[4])),
+             "alpha_h at offset 0 of (2,2) is not cardinal at cell 2"),
+            (lambda f, h: (f, (h[1], h[0]) + h[2:]),
+             "alpha_h at offset -2 of (2,2) is not cardinal at cell -2"),
+            # the interpolating family is cardinal at the nodes, not over the cells
+            (lambda f, h: (f, f), "alpha_h at offset -2 of (2,2) is not cardinal at cell -2"),
+            # the node polynomial keeps every node value, so only the degree catches it
+            (lambda f, h: ((f[0] + RatPoly.of([0, 4, 0, -5, 0, 1]),) + f[1:], h),
+             "alpha_f at offset -2 of (2,2) has degree above 4"),
+        ],
+        ids=["node", "cell", "swapped", "interpolating", "node-polynomial"],
+    )
+    def test_tampered_basis_exits_three(self, tamper, message, capsys, monkeypatch):
+        right = cli.basis(cli.Stencil(2, 2))
+        wrong = ReconstructionBasis(right.stencil, *tamper(right.alpha_f, right.alpha_h))
+        monkeypatch.setattr(cli, "basis", lambda s: wrong)
+        code, out, err = run(["basis", "--stencil", "2", "2"], capsys)
+        assert (code, out) == (3, "")
+        assert err == f"invariant violated: {message}\n"

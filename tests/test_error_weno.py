@@ -470,6 +470,36 @@ class TestRemainderKernel:
         for kind, expansion in expected.items():
             assert error_expansion(s, kind, 14) == expansion
 
+    def test_basis_and_pivot_expansions_deconvolve_nothing(self, monkeypatch):
+        # the face route: a cold basis and the mu expansions reach no pair
+        # map and no RatPoly product, and all four error polynomials go
+        # through the one remainder kernel, on the cells or on the faces
+        s = Stencil(2, 4)
+        kinds = ("f", "h", "lambda-f", "lambda-h")
+        expected = {kind: error_expansion(s, kind, 14) for kind in kinds}
+        expected_basis = basis(s)
+        kernel = weno._unreproduced
+        nodes = []
+
+        def recording(*args):
+            nodes.append(len(args[0]))
+            return kernel(*args)
+
+        def forbidden(*args):
+            raise AssertionError("the basis or an error expansion deconvolved")
+
+        monkeypatch.setattr(weno, "_unreproduced", recording)
+        monkeypatch.setattr(recon_module, "_pair_map", forbidden)
+        monkeypatch.setattr(recon_module, "pair_h_from_f", forbidden)
+        monkeypatch.setattr(RatPoly, "__mul__", forbidden)
+        for memoized in (basis, mu_f, mu_h, lambda_f, lambda_h):
+            memoized.cache_clear()
+        assert basis(s) == expected_basis
+        for kind in kinds:
+            nodes.clear()
+            assert error_expansion(s, kind, 14) == expected[kind]
+            assert nodes == [s.m + 1 + kind.endswith("h")] * (14 - s.m), kind
+
     def test_remainders_are_the_long_division(self):
         for nodes in (range(-3, 4), range(-7, 8, 2), range(5, 9), range(0, 1)):
             omega = vandermonde_module._node_poly(nodes)

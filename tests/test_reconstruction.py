@@ -26,6 +26,7 @@ from reconkernel.recon import (
 from reconkernel.vandermonde import CoeffTable, Stencil, inv_vandermonde
 from reconkernel.cli import main
 from oracles import (
+    basis_deconvolution_oracle,
     deconv_matrix,
     deconv_matrix_inverse,
     face_coeffs_shu_oracle,
@@ -361,6 +362,25 @@ class TestBasis:
         for p in basis(s).alpha_h:
             for n in range(-s.m - 2, s.m + 3):
                 assert poly_eval(p, F(2 * n + 1, 2)) != 0
+
+
+#: every window with both bounds in -4..9
+FACE_WINDOWS = [Stencil(a, b) for a in range(-4, 10) for b in range(-4, 10) if a + b >= 0]
+
+
+class TestFaceCardinalBasis:
+    """alpha_h from the face cardinals, against the deconvolution of the inverse columns."""
+
+    @pytest.mark.parametrize("m", sorted({s.m for s in FACE_WINDOWS}))
+    def test_every_small_window(self, m):
+        windows = [s for s in FACE_WINDOWS if s.m == m]
+        assert [s for s in windows if basis(s).alpha_h != basis_deconvolution_oracle(s)] == []
+
+    @pytest.mark.parametrize(
+        "s", [Stencil(30, 30), Stencil(0, 60), Stencil(-10**6, 10**6 + 7)], ids=str
+    )
+    def test_wide_and_far_windows(self, s):
+        assert basis(s).alpha_h == basis_deconvolution_oracle(s)
 
 
 class TestFaceCoeffs:

@@ -1,7 +1,9 @@
 """sympy as a third route to the face coefficients, the tau numbers, the
 inverse Vandermonde matrices, the face error constants Lambda, the
-local-derivative error polynomials lambda_h, the smoothness forms, the linear weights, the weight-functions, the polynomial
-gcd and the Sturm census of the weight denominators.
+local-derivative error polynomials lambda_h, the pivot-derivative error
+polynomials mu_h, every reconstructing basis polynomial, the smoothness
+forms, the linear weights, the weight-functions, the polynomial gcd and the
+Sturm census of the weight denominators.
 
 Runs only where sympy is installed; it is not a dependency of the package.
 """
@@ -16,12 +18,13 @@ from functools import cache
 
 from reconkernel.deconv import tau
 from reconkernel.exact import RatPoly, poly_gcd, sturm_real_root_count
-from reconkernel.recon import face_coeffs
+from reconkernel.recon import basis, face_coeffs
 from reconkernel.vandermonde import Stencil, inv_vandermonde
 from reconkernel.weno import (
     Lambda,
     beta_form,
     lambda_h,
+    mu_h,
     sigma_pole_analysis,
     sigma_values_at_half,
     sigma_weights,
@@ -214,6 +217,37 @@ def test_lambda_h_differentiates_the_face_interpolant(s):
         primitive = [(q - X) ** (n + 1) / sympy.factorial(n + 1) for q in faces]
         error = sum(v * d for v, d in zip(primitive, slopes)).subs(t, X)
         assert lambda_h(s, n).coeffs == as_fraction_coeffs(sympy.expand(error)), n
+
+
+@pytest.mark.parametrize(
+    "s", [Stencil(1, 1), Stencil(0, 2), Stencil(3, 1), Stencil(-2, 5), Stencil(12, -9)], ids=str
+)
+def test_mu_h_differentiates_the_face_error_of_the_bernoulli_primitive(s):
+    # x^n/n! is the sliding average of the derivative of
+    # Phi_n = B_(n+1)(x + 1/2)/(n+1)!, as B_(n+1)(y+1) - B_(n+1)(y) =
+    # (n+1) y^n; the reconstruction differentiates the face interpolant of
+    # the primitive, so mu_h(s, n) is -d/dx [Phi_n - its face interpolant]
+    faces = [l - HALF for l in s.offsets()] + [s.m_plus + HALF]
+    for n in range(s.m + 1, s.m + 4):
+        phi = sympy.bernoulli(n + 1, X + HALF) / sympy.factorial(n + 1)
+        interpolant = sympy.interpolate([(q, phi.subs(X, q)) for q in faces], X)
+        error = -sympy.diff(phi - interpolant, X)
+        assert mu_h(s, n).coeffs == as_fraction_coeffs(sympy.expand(error)), n
+
+
+@pytest.mark.parametrize(
+    "s", [Stencil(0, 0), Stencil(1, 1), Stencil(0, 4), Stencil(-2, 5), Stencil(3, 3), Stencil(12, -9)],
+    ids=str,
+)
+def test_every_basis_polynomial_is_a_face_derivative(s):
+    # the primitive of a unit average on cell l is 0 at the faces left of
+    # it and 1 at those right of it: alpha_h,l is the derivative of the
+    # sum of the face cardinals right of cell l
+    faces = [l - HALF for l in s.offsets()] + [s.m_plus + HALF]
+    cardinals = [sympy.prod([(X - p) / (q - p) for p in faces if p != q]) for q in faces]
+    for l, alpha in enumerate(basis(s).alpha_h):
+        suffix = sum(cardinals[l + 1 :])
+        assert alpha.coeffs == as_fraction_coeffs(sympy.expand(sympy.diff(suffix, X))), l
 
 
 def random_poly(rng: random.Random, degree: int) -> RatPoly:
