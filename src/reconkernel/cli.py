@@ -14,7 +14,7 @@ import json
 import sys
 from fractions import Fraction
 from math import lcm
-from operator import sub
+from operator import mul, sub
 
 from .deconv import tau
 from .exact import (
@@ -31,7 +31,6 @@ from .vandermonde import Stencil, _faces, inv_vandermonde, vandermonde
 from .weno import (
     DEFAULT_MARGIN,
     Lambda,
-    _face_moments,
     beta_form,
     error_expansion,
     positivity_scan,
@@ -128,6 +127,20 @@ def _cardinal_miss(family, n: int, at, scale: int) -> "tuple[int, int | None] | 
             if value != den * scale * (l == j):
                 return l, j
     return None
+
+
+def _face_moments(s: Stencil, coeffs, n_max: int) -> tuple[list[int], int]:
+    # F_d = sum_l N_l (l^(d+1) - (l-1)^(d+1)), d = 0..n_max, with coeffs = N/D:
+    # F_d/(D (d+1)!) is the face value rebuilt from the cell averages of
+    # (x - 1/2)^d/d!.  By faces j, F_d = sum_j (N_j - N_(j+1)) j^(d+1).
+    nums, den = _common_denominator(coeffs)
+    jumps = list(map(sub, [0] + nums, nums + [0]))
+    faces = range(-s.m_minus - 1, s.m_plus + 1)
+    powers, moments = list(faces), []
+    for _ in range(n_max + 1):
+        moments.append(sum(map(mul, jumps, powers)))
+        powers = list(map(mul, powers, faces))
+    return moments, den
 
 
 def _node_values(s: Stencil):

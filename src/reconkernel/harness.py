@@ -16,11 +16,11 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, fsum, isfinite, ldexp, log, sinh
+from math import exp, factorial, fsum, isfinite, ldexp, log, sinh
 
 from .deconv import tau
-from .exact import ValidationError, _int, _tuple, poly_eval
-from .recon import basis, face_coeffs
+from .exact import InvariantError, ValidationError, _int, _tuple, poly_eval
+from .recon import _face_weights, basis, face_coeffs
 from .vandermonde import Stencil, _stencil
 
 __all__ = [
@@ -160,19 +160,16 @@ def derivative_coeffs(s: Stencil) -> tuple[tuple[int, Fraction], ...]:
 
     Returns (offset, weight) pairs over offsets -m_minus-1 .. m_plus; the
     dot product with samples, divided by delta_x, approximates the
-    derivative of the averaged field at the pivot.  Weights sum to zero.
+    derivative of the averaged field at the pivot.  The weight of offset j
+    is the slope at xi = 1/2 of the cardinal of face j + 1/2 in the face
+    interpolant of the primitive.  Raises InvariantError unless the weights
+    sum to zero.
     """
-    a = face_coeffs(s)
-    lo, hi = -s.m_minus, s.m_plus
-    out = []
-    for j in range(lo - 1, hi + 1):
-        w = Fraction(0)
-        if j >= lo:
-            w += a[j - lo]
-        if j + 1 <= hi:
-            w -= a[j + 1 - lo]
-        out.append((j, w))
-    return tuple(out)
+    weights = _face_weights(s)
+    if sum(weights) != 0:
+        raise InvariantError(f"flux-difference weights of stencil {s} do not sum to 0")
+    den = factorial(s.m + 1)
+    return tuple((j, Fraction(w, den)) for j, w in enumerate(weights, -s.m_minus - 1))
 
 
 @dataclass(frozen=True)
@@ -261,20 +258,21 @@ def convergence_study(
         )
     _int(fit_window, "fit window must span at least 3 points", lo=3)
 
-    face = face_coeffs(s)
-    deriv = derivative_coeffs(s)
-    _require_float_range(s, target, face, deriv)
+    if target == "face":
+        pairs = tuple(zip(s.offsets(), face_coeffs(s)))
+    else:
+        pairs = derivative_coeffs(s)
+    _require_float_range(s, target, pairs)
     grid_sizes = []
     errors = []
     usable = []
     for level in range(4, 4 + grid_levels):
         dx = 2.0**-level
+        value = sum(w * Fraction(exp(j * dx)) for j, w in pairs)
         if target == "face":
-            samples = SampleSet.from_function(s, exp, 0.0, dx)
-            value = sum(c * Fraction(v) for c, v in zip(face, samples.values))
             truth = exp_pair_reference(0.5 * dx, dx)
         else:
-            value = sum(w * Fraction(exp(j * dx)) for j, w in deriv) / Fraction(dx)
+            value /= Fraction(dx)
             truth = 1.0
         err = float(abs(value - Fraction(truth)))
         grid_sizes.append(dx)
@@ -291,18 +289,19 @@ def convergence_study(
     return ConvergenceReport(s, target, tuple(grid_sizes), tuple(errors), slope, tuple(window))
 
 
-def _require_float_range(s: Stencil, target: str, face, deriv) -> None:
-    # The samples e^(l dx) are largest at the first width 2^-4, at most
-    # e^(J/16) with J = max |l|.  So the face value is at most
-    # sum_l |c_l| e^(J/16).  The flux weights annihilate constants, so the
-    # derivative is sum_j w_j (e^(j dx) - 1)/dx, and rounding to nearest
-    # keeps |fl(e^y) - 1| <= 2 |e^y - 1| <= 2 |y| e^|y|: it is at most
+def _require_float_range(s: Stencil, target: str, pairs) -> None:
+    # The samples e^(j dx) over the (offset, weight) pairs are largest at the
+    # first width 2^-4, at most e^(J/16) with J = max |j|.  So the face value
+    # is at most sum_j |w_j| e^(J/16).  The flux weights annihilate constants,
+    # so the derivative is sum_j w_j (e^(j dx) - 1)/dx, and rounding to
+    # nearest keeps |fl(e^y) - 1| <= 2 |e^y - 1| <= 2 |y| e^|y|: it is at most
     # sum_j 2 |j w_j| e^(J/16).  Each weight sum is at least 1, so a bound
     # below the largest float keeps every sample, value and error finite.
+    reach = max(abs(j) for j, _ in pairs)
     if target == "face":
-        reach, total = max(abs(s.m_minus), abs(s.m_plus)), sum(map(abs, face))
+        total = sum(abs(w) for _, w in pairs)
     else:
-        reach, total = max(abs(j) for j, _ in deriv), sum(2 * abs(j * w) for j, w in deriv)
+        total = sum(2 * abs(j * w) for j, w in pairs)
     if log(total.numerator) - log(total.denominator) + reach / 16 >= _LOG_FLOAT_MAX:
         raise ValidationError(
             f"stencil {s} lies too far from the pivot: the {target} error of its "

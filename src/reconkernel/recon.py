@@ -10,14 +10,17 @@ on the M+1 cell offsets, alpha_f,l the inverse Vandermonde columns, and
 p_h = sum alpha_h,l(xi) f_{i+l} reconstructs, with xi the offset from the
 pivot in cell widths: the derivative of the interpolant of the primitive on
 the M+2 cell faces (Shu 2009), so alpha_h,l sums the face cardinal slopes
-right of cell l.  The face-value coefficients, alpha_h at xi = 1/2, have an
-integer product form of their own and are computed without the basis.
+right of cell l.  At xi = 1/2 those slopes are one integer vector over
+(M+1)!, `_face_weights`: its suffix sums are the face-value coefficients,
+alpha_h at xi = 1/2, computed without the basis; it is also the weight
+vector of the flux difference and of the face-error constants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, factorial
 from operator import mul
 from typing import Sequence, Union
@@ -195,14 +198,23 @@ def basis(s: Stencil) -> ReconstructionBasis:
     return ReconstructionBasis(s, tuple(alpha_f), tuple(alpha_h))
 
 
-def _product_folds(factors) -> list[tuple[int, int]]:
-    # entry i: the product of the first i factors, and the sum of the i
-    # products of those factors that leave one of them out
-    out = [(1, 0)]
-    for g in factors:
-        prod, rest = out[-1]
-        out.append((prod * g, rest * g + prod))
-    return out
+def _face_weights(s: Stencil) -> list[int]:
+    # (M+1)! L_q'(1/2) for the M+2 face cardinals L_q.  With the integer gaps
+    # g_r = 1 + m_minus - r from node x_r to the face, L_q'(1/2) is e_q over
+    # prod_{r != q} (q - r) = (-1)^(M+1-q) q! (M+1-q)!, e_q the y coefficient
+    # of prod_{r != q} (y + g_r): the exact quotient (w_1 - w_0/g_q)/g_q of
+    # the three lowest coefficients w_0, w_1, w_2 of prod_r (y + g_r), or w_2
+    # when the face is node q
+    _stencil(s)
+    n = s.m + 2
+    gaps = [1 + s.m_minus - q for q in range(n)]
+    w0, w1, w2 = 1, 0, 0
+    for g in gaps:
+        w0, w1, w2 = w0 * g, w1 * g + w0, w2 * g + w1
+    return [
+        (-1) ** (n - 1 - q) * comb(n - 1, q) * ((w1 - w0 // g) // g if g else w2)
+        for q, g in enumerate(gaps)
+    ]
 
 
 @_memo
@@ -212,28 +224,13 @@ def face_coeffs(s: Stencil) -> tuple[Fraction, ...]:
     The dot product of these with the cell averages f_{i+l} approximates
     h_{i+1/2} to order M+1.  No basis polynomial is built: the face value is
     the derivative at xi = 1/2 of the polynomial interpolating the primitive
-    of the averages on its M+2 nodes x_q = q - m_minus - 1/2, whose gaps to
-    the face are the integers g_q = 1 + m_minus - q.  Node m weighs
-    sum_{p != m} prod_{q not in {m, p}} g_q over prod_{q != m} (m - q), and
-    coefficient l is the sum of the weights of the nodes right of cell l.
-    Prefix and suffix folds give every weight in O(M) integer products over
-    the common denominator (M+1)!.  Raises InvariantError unless the
-    coefficients sum to 1.
+    of the averages on its M+2 faces, so coefficient l sums the slopes at
+    1/2 of the face cardinals right of cell l, over the common denominator
+    (M+1)!.  Raises InvariantError unless the coefficients sum to 1.
     """
-    _stencil(s)
-    n = s.m + 2
-    gaps = [1 + s.m_minus - q for q in range(n)]
-    # g_q over q < i in pre[i] and over q >= i in suf[i]
-    pre = _product_folds(gaps)
-    suf = _product_folds(reversed(gaps))[::-1]
-    nums = []
-    acc = 0
-    for m in range(n - 1, 0, -1):
-        (pl, rl), (pr, rr) = pre[m], suf[m + 1]
-        acc += (-1) ** (n - 1 - m) * comb(n - 1, m) * (rl * pr + pl * rr)
-        nums.append(acc)
-    nums.reverse()
-    den = factorial(n - 1)
+    weights = _face_weights(s)
+    nums = list(accumulate(weights[:0:-1]))[::-1]
+    den = factorial(s.m + 1)
     if sum(nums) != den:
         raise InvariantError(f"face coefficients of stencil {s} do not sum to 1")
     return tuple(Fraction(a, den) for a in nums)

@@ -4,8 +4,8 @@ The reconstruction and interpolation errors of a stencil admit exact
 expansions in powers of the cell width: mu polynomials weight derivatives at
 the pivot, lambda polynomials weight derivatives at the evaluation point, and
 the constants Lambda = lambda_h(1/2) govern the face-value error.  Lambda
-is one integer sum over the face coefficients, the face moment of order n,
-whose moments of degree <= M certify those coefficients exact.
+is one integer moment of the slopes at xi = 1/2 of the face cardinals, the
+vector whose suffix sums are the face coefficients.
 
 All four error polynomials are the unreproduced part of one function under
 one integer kernel, the remainders x^j mod a monic node polynomial, each
@@ -48,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm, perm
-from operator import mul, sub
+from operator import mul
 
 from .exact import (
     InvariantError,
@@ -68,7 +68,7 @@ from .exact import (
     cauchy_root_bound,
 )
 from .deconv import tau
-from .recon import basis, face_coeffs
+from .recon import _face_weights, basis, face_coeffs
 from .vandermonde import (
     CoeffTable,
     Stencil,
@@ -224,32 +224,20 @@ def lambda_f(s: Stencil, order: int) -> RatPoly:
     return RatPoly.of(Fraction(a, factorial(order)) for a in acc)
 
 
-def _face_moments(s: Stencil, coeffs, n_max: int) -> tuple[list[int], int]:
-    # F_d = sum_l N_l (l^(d+1) - (l-1)^(d+1)), d = 0..n_max, with coeffs = N/D:
-    # F_d/(D (d+1)!) is the face value rebuilt from the cell averages of
-    # (x - 1/2)^d/d!.  By faces j, F_d = sum_j (N_j - N_(j+1)) j^(d+1).
-    nums, den = _common_denominator(coeffs)
-    jumps = list(map(sub, [0] + nums, nums + [0]))
-    faces = range(-s.m_minus - 1, s.m_plus + 1)
-    powers, moments = list(faces), []
-    for _ in range(n_max + 1):
-        moments.append(sum(map(mul, jumps, powers)))
-        powers = list(map(mul, powers, faces))
-    return moments, den
-
-
 def Lambda(s: Stencil, order: int) -> Fraction:
     """Face-error constant: lambda_h evaluated exactly at xi = 1/2.
 
     The reconstructed face value satisfies
     h_{i+1/2} approx = h(x_{i+1/2}) + sum_{n > M} Lambda(s, n) dx^n h^(n),
-    with the h-derivatives taken at the face.  Lambda(s, n) is the face value
-    rebuilt from the cell averages of (x - 1/2)^n/n!, summed in integers:
-    sum_l c_l (l^(n+1) - (l-1)^(n+1)) / (n+1)! with c = face_coeffs(s).
+    with the h-derivatives taken at the face.  At xi = 1/2 the sum over the
+    face cardinals in `lambda_h` is one integer moment of their slopes
+    omega_q, no polynomial built: Lambda(s, n) = sum_q omega_q
+    (q - m_minus - 1)^(n+1)/(n+1)!, the face value rebuilt from the cell
+    averages of (x - 1/2)^n/n!.
     """
     _require_expansion_order(s, order)
-    moments, den = _face_moments(s, face_coeffs(s), order)
-    return Fraction(moments[order], den * factorial(order + 1))
+    moment = sum(w * j ** (order + 1) for j, w in enumerate(_face_weights(s), -s.m_minus - 1))
+    return Fraction(moment, factorial(s.m + 1) * factorial(order + 1))
 
 
 @dataclass(frozen=True)
@@ -590,7 +578,7 @@ class SmoothnessForm:
         if not self.matrix.is_symmetric:
             raise InvariantError(f"smoothness form of {self.stencil} is not symmetric")
         for i in range(n):
-            if sum(self.matrix.row(i), Fraction(0)) != 0:
+            if sum(_common_denominator(self.matrix.row(i))[0]) != 0:
                 raise InvariantError(f"smoothness form of {self.stencil} does not annihilate constants")
 
     def value(self, cells: "tuple[Rational, ...] | list[Rational]") -> Fraction:

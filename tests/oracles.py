@@ -5,8 +5,11 @@ none of its code: the tau numbers by exact power-series division of
 sinh(x/2)/(x/2), the deconvolution map as an upper unitriangular matrix
 whose back-substitution inverse is checked against its closed form, and the
 face coefficients by the classical product/sum formula in O(M^4) integer
-products, and the smoothness forms by integrating products of the basis
-derivatives one at a time, and the weight-functions and linear weights by
+products and by the prefix and suffix product folds of the face gaps
+(`face_coeffs_folds_oracle`), which the package's slopes of the face
+cardinals at 1/2 replaced, the flux-difference weights as differences of
+the face coefficients, and the smoothness forms by integrating products of
+the basis derivatives one at a time, and the weight-functions and linear weights by
 the level-by-level convolution recurrence over one-fold splits, the
 weight-functions also by the triangular solve in `RatFunction` arithmetic
 on the basis polynomials, which the package's interpolation at the cell
@@ -458,6 +461,64 @@ def face_coeffs_shu_oracle(s: Stencil) -> tuple[Fraction, ...]:
                     den *= m - p
             total += Fraction(num, den)
         out.append(total)
+    return tuple(out)
+
+
+def _product_folds(factors) -> list[tuple[int, int]]:
+    # entry i: the product of the first i factors, and the sum of the i
+    # products of those factors that leave one of them out
+    out = [(1, 0)]
+    for g in factors:
+        prod, rest = out[-1]
+        out.append((prod * g, rest * g + prod))
+    return out
+
+
+def face_coeffs_folds_oracle(s: Stencil) -> tuple[Fraction, ...]:
+    """Face coefficients by prefix and suffix product folds over the face gaps.
+
+    Node m of the M+2 primitive nodes, at integer gap g_q = 1 + m_minus - q
+    from the face, weighs sum_{p != m} prod_{q not in {m, p}} g_q over
+    prod_{q != m} (m - q); coefficient l sums the weights right of cell l.
+    The folds give every weight in O(M) integer products over (M+1)!, with
+    no division: the route the package's exact quotient of the three lowest
+    coefficients of prod_q (y + g_q) replaced.
+    """
+    n = s.m + 2
+    gaps = [1 + s.m_minus - q for q in range(n)]
+    # g_q over q < i in pre[i] and over q >= i in suf[i]
+    pre = _product_folds(gaps)
+    suf = _product_folds(reversed(gaps))[::-1]
+    nums = []
+    acc = 0
+    for m in range(n - 1, 0, -1):
+        (pl, rl), (pr, rr) = pre[m], suf[m + 1]
+        acc += (-1) ** (n - 1 - m) * comb(n - 1, m) * (rl * pr + pl * rr)
+        nums.append(acc)
+    nums.reverse()
+    den = factorial(n - 1)
+    if sum(nums) != den:
+        raise InvariantError(f"face coefficients of stencil {s} do not sum to 1")
+    return tuple(Fraction(a, den) for a in nums)
+
+
+def derivative_coeffs_difference_oracle(s: Stencil) -> tuple[tuple[int, Fraction], ...]:
+    """Flux-difference weights as differences of the face coefficients.
+
+    Offset j weighs c_j - c_(j+1) with c = face_coeffs(s), zero outside the
+    window: the face value at +1/2 less the same face value shifted one
+    cell left.
+    """
+    a = face_coeffs(s)
+    lo, hi = -s.m_minus, s.m_plus
+    out = []
+    for j in range(lo - 1, hi + 1):
+        w = Fraction(0)
+        if j >= lo:
+            w += a[j - lo]
+        if j + 1 <= hi:
+            w -= a[j + 1 - lo]
+        out.append((j, w))
     return tuple(out)
 
 

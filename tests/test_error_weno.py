@@ -266,6 +266,9 @@ class TestFaceErrorConstants:
         monkeypatch.setattr(weno, "mu_h", forbidden)
         monkeypatch.setattr(recon_module, "_pair_map", forbidden)
         monkeypatch.setattr(exact_module, "poly_eval", forbidden)
+        # Lambda is a moment of the face weights, not of the face coefficients
+        monkeypatch.setattr(weno, "face_coeffs", forbidden)
+        monkeypatch.setattr(weno, "_common_denominator", forbidden)
         face_coeffs.cache_clear()
         assert {n: Lambda(s, n) for n in expected} == expected
 

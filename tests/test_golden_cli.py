@@ -4,10 +4,11 @@
 the SHA-256 of "<exit code>\\n" followed by its stdout.  Every request of
 the stencil tables (vandermonde, basis, face-coeffs), of the error
 polynomials (error-poly, lambda), of the weight commands (positivity,
-weights, poles), of the smoothness forms (beta) and of the nodal mismatch
-(check-noninterp) is replayed in process here.  Of every other (subcommand,
-format) group, every tenth request and the group's last one are, so small
-groups are sampled past their trivial first entry.  The file is only read.
+weights, poles), of the smoothness forms (beta), of the convergence study
+(converge) and of the nodal mismatch (check-noninterp) is replayed in
+process here.  Of every other (subcommand, format) group, every tenth
+request and the group's last one are, so small groups are sampled past
+their trivial first entry.  The file is only read.
 """
 
 import hashlib
@@ -34,6 +35,7 @@ FULL = (
     "weights",
     "poles",
     "beta",
+    "converge",
     "check-noninterp",
 )
 

@@ -6,7 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from reconkernel.exact import RatPoly, ValidationError, poly_eval
+from reconkernel import harness
+from reconkernel.exact import InvariantError, RatPoly, ValidationError, poly_eval
 from reconkernel.harness import (
     G_TAU_SERIES_CUTOFF,
     MAX_GRID_LEVELS,
@@ -24,6 +25,7 @@ from reconkernel.harness import (
 )
 from reconkernel.recon import basis, poly_sliding_average
 from reconkernel.vandermonde import Stencil
+from oracles import derivative_coeffs_difference_oracle
 
 
 class TestGTauFloat:
@@ -182,6 +184,21 @@ class TestDerivativeCoeffs:
         f = poly_sliding_average(h)
         dot = sum(w * poly_eval(f, j) for j, w in derivative_coeffs(s))
         assert dot == poly_eval(f.derivative(), 0)
+
+    def test_reaches_no_face_coeffs(self, monkeypatch):
+        s = Stencil(3, 4)
+        expected = derivative_coeffs_difference_oracle(s)
+
+        def forbidden(*args):
+            raise AssertionError("derivative_coeffs went through the face coefficients")
+
+        monkeypatch.setattr(harness, "face_coeffs", forbidden)
+        assert derivative_coeffs(s) == expected
+
+    def test_weights_that_do_not_sum_to_zero_raise(self, monkeypatch):
+        monkeypatch.setattr(harness, "_face_weights", lambda s: [1] * (s.m + 2))
+        with pytest.raises(InvariantError, match=r"flux-difference weights of stencil \(1,2\)"):
+            derivative_coeffs(Stencil(1, 2))
 
 
 class TestConvergenceStudy:

@@ -29,6 +29,8 @@ from oracles import (
     basis_deconvolution_oracle,
     deconv_matrix,
     deconv_matrix_inverse,
+    derivative_coeffs_difference_oracle,
+    face_coeffs_folds_oracle,
     face_coeffs_shu_oracle,
     lambda_h_relocation_oracle,
     matmul,
@@ -449,3 +451,31 @@ class TestFaceRoutesAgree:
         rows = capsys.readouterr().out.splitlines()
         assert rows[0] == "offset,coeff"
         assert sum(F(r.split(",")[1]) for r in rows[1:]) == 1
+
+
+class TestFaceWeights:
+    """The slopes of the face cardinals at 1/2 against the folds and differences they replaced."""
+
+    @pytest.mark.parametrize("m", range(41))
+    def test_face_coeffs_on_every_window_within_the_bounds(self, m):
+        windows = [Stencil(a, m - a) for a in range(-30, 40) if -30 <= m - a <= 39]
+        assert [s for s in windows if face_coeffs(s) != face_coeffs_folds_oracle(s)] == []
+
+    @pytest.mark.parametrize(
+        "s",
+        [
+            Stencil(350, 350),
+            Stencil(0, 700),
+            Stencil(-10**6, 10**6 + 16),
+            Stencil(10**9, -10**9 + 5),
+        ],
+        ids=str,
+    )
+    def test_face_coeffs_on_wide_and_far_windows(self, s):
+        assert face_coeffs(s) == face_coeffs_folds_oracle(s)
+
+    def test_flux_weights_are_face_coefficient_differences(self):
+        windows = [Stencil(a, b) for a in range(-6, 10) for b in range(-6, 10) if a + b >= 0]
+        windows.append(Stencil(-10**6, 10**6 + 7))
+        oracle = derivative_coeffs_difference_oracle
+        assert [s for s in windows if harness.derivative_coeffs(s) != oracle(s)] == []
