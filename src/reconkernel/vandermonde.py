@@ -6,7 +6,8 @@ node offsets is inverted through its Lagrange cardinal polynomials: column j
 of the inverse is the node polynomial prod_k (x - x_k) divided by (x - x_j)
 and by the value of that quotient at x_j, all in integers.  The same node
 polynomial gives the error generators nu: the interpolant of x^k on the
-stencil is the remainder of x^k divided by it, one power after another.
+stencil is the remainder of x^k divided by it, one power after another,
+kept in one table per node range that every later power extends.
 """
 
 from __future__ import annotations
@@ -170,24 +171,39 @@ def inv_vandermonde(s: Stencil) -> CoeffTable:
     return CoeffTable.of(zip(*cols))
 
 
-def _power_remainders(nodes: Iterable[int], n: int) -> list[list[int]]:
-    """x^j mod the monic node polynomial of the integer nodes, for j = 0..n.
+#: Per node range: omega's low coefficients and the rows x^j mod omega
+#: computed so far.  Rows are appended to a copy and the longer tuple is
+#: stored back under the same key, so concurrent extensions agree.
+_REMAINDERS: dict[range, tuple[list[int], tuple[list[int], ...]]] = {}
+
+
+def _power_remainders(nodes: range, n: int) -> tuple[list[int], ...]:
+    """x^j mod the monic node polynomial of the integer nodes, for j = 0..n at least.
 
     Entry j holds the deg(omega) ascending integer coefficients of the
     interpolant of x^j on the nodes.  Each step multiplies the last remainder
     by x and subtracts its top coefficient times omega, so a power costs
-    O(deg omega) integer products.
+    O(deg omega) integer products.  The rows are kept per node range and
+    extended only by the ones missing, so every order of every error
+    polynomial on the same nodes shares them.  Callers must not mutate them.
     """
-    low = _node_poly(nodes)[:-1]
-    r = [1] + [0] * (len(low) - 1)
-    out = [r]
-    for _ in range(n):
-        top = r[-1]
-        r = [0] + r[:-1]
-        if top:
-            r = [a - top * w for a, w in zip(r, low)]
-        out.append(r)
-    return out
+    table = _REMAINDERS.get(nodes)
+    if table is None:
+        low = _node_poly(nodes)[:-1]
+        table = low, ([1] + [0] * (len(low) - 1),)
+    low, rows = table
+    if len(rows) <= n:
+        grown = list(rows)
+        r = grown[-1]
+        for _ in range(len(rows), n + 1):
+            top = r[-1]
+            r = [0] + r[:-1]
+            if top:
+                r = [a - top * w for a, w in zip(r, low)]
+            grown.append(r)
+        table = low, tuple(grown)
+    _REMAINDERS[nodes] = table
+    return table[1]
 
 
 def nu(s: Stencil, m: int, k: int) -> Fraction:

@@ -9,8 +9,9 @@ vector whose suffix sums are the face coefficients.
 
 All four error polynomials are the unreproduced part of one function under
 one integer kernel, the remainders x^j mod a monic node polynomial, each
-one step from the last.  On the M+1 cells, with e_j = xi^j - (xi^j mod
-omega), they are the interpolation errors of x^n/n! and (x - xi)^n/n!:
+one step from the last and shared by every order on the same nodes.  On
+the M+1 cells, with e_j = xi^j - (xi^j mod omega), they are the
+interpolation errors of x^n/n! and (x - xi)^n/n!:
 
     mu_f(s, n) = -e_n/n!,
     lambda_f(s, n) = -(1/n!) sum_{j=M+1}^{n} C(n, j) (-xi)^(n-j) e_j.
@@ -145,17 +146,36 @@ def _mu_f_any(s: Stencil, order: int) -> RatPoly:
     return RatPoly.of(Fraction(a, factorial(order)) for a in acc)
 
 
+#: tau_i i! 2^i = 2^i B_i(1/2) for i = 0, 1, ..., as integer numerators over
+#: one common denominator.  Refilled whole, to at least twice its length,
+#: and bound only when complete, like the tangent table of `tau`.
+_FACE_TAUS = ([1], 1)
+
+
+def _face_taus(n: int) -> tuple[list[int], int]:
+    global _FACE_TAUS
+    nums, den = _FACE_TAUS
+    if len(nums) <= n:
+        values, scale = [], 1
+        for i in range(max(n, 2 * len(nums)) + 1):
+            values.append(tau(i) * scale)
+            scale *= 2 * i + 2
+        nums, den = _FACE_TAUS = _common_denominator(values)
+    return nums, den
+
+
 def _mu_h_any(s: Stencil, order: int) -> RatPoly:
-    # E_j weighs tau_(n+1-j)/j! = T_(n+1-j) (n+1)!/j! 2^(n+1-j) over
-    # (n+1)! 2^n dt in u = 2 xi, with tau = T/dt; below order M+1 the faces
-    # reproduce Phi, and this is zero, as above
-    ts, dt = _common_denominator([tau(k) for k in range(order - s.m)])
-    top = factorial(order + 1)
-    terms = [
-        (j, (ts[order + 1 - j] * (top // factorial(j))) << (order + 1 - j), 0)
-        for j in range(s.m + 2, order + 2)
-    ]
-    return _in_xi(_unreproduced(_faces(s), order + 1, terms, 1), (top << order) * dt)
+    # E_j weighs tau_i/j! = C(n+1, i) b_i/(db (n+1)! 2^i), i = n+1-j, with
+    # tau_i i! 2^i = b_i/db, so over (n+1)! 2^n db in u = 2 xi the weight is
+    # C(n+1, i) b_i, the binomials by one running product; below order M+1
+    # the faces reproduce Phi, and this is zero, as above
+    top = order + 1
+    bs, db = _face_taus(order - s.m - 1)
+    terms, c = [], 1
+    for i in range(order - s.m):
+        terms.append((top - i, c * bs[i], 0))
+        c = c * (top - i) // (i + 1)
+    return _in_xi(_unreproduced(_faces(s), top, terms, 1), (factorial(top) << order) * db)
 
 
 @_memo

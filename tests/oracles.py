@@ -2,7 +2,9 @@
 
 Each oracle reaches a quantity the package computes by a route that shares
 none of its code: the tau numbers by exact power-series division of
-sinh(x/2)/(x/2), the deconvolution map as an upper unitriangular matrix
+sinh(x/2)/(x/2) and by the paper's convolution recurrence
+(`tau_recurrence_oracle`), which the package's tangent numbers replaced,
+the deconvolution map as an upper unitriangular matrix
 whose back-substitution inverse is checked against its closed form, and the
 face coefficients by the classical product/sum formula in O(M^4) integer
 products and by the prefix and suffix product folds of the face gaps
@@ -251,7 +253,7 @@ def series_divide(a: PowerSeries, b: PowerSeries, order: int) -> PowerSeries:
 
 
 # ---------------------------------------------------------------------------
-# tau by generating-function division
+# tau by generating-function division and by the paper's recurrence
 # ---------------------------------------------------------------------------
 
 
@@ -273,6 +275,31 @@ def tau_gf_oracle(n: int) -> Fraction:
             cs.append(Fraction(1, 4**m * factorial(2 * m + 1)))
     one = PowerSeries.of([1], order=order)
     return series_divide(one, PowerSeries(tuple(cs)), order).coeff(n)
+
+
+#: tau_{2k} by k.  Entries are added in increasing k and only ever read
+#: below the one being filled, so the table never has gaps.
+_TAU_EVEN = {0: Fraction(1)}
+
+
+def tau_recurrence_oracle(n: int) -> Fraction:
+    """The n-th tau number by the paper's definition, which `tau` replaced.
+
+    tau_0 = 1, every odd entry vanishes, and the even entries satisfy
+
+        tau_{2k} = - sum_{s=1}^{k} tau_{2k-2s} / (2^(2s) (2s+1)!),
+
+    the convolution identity forcing the forward and inverse deconvolution
+    maps to be mutual inverses, filled bottom-up in O(k^2) `Fraction` terms.
+    """
+    _index(n)
+    if n % 2:
+        return Fraction(0)
+    for k in range(len(_TAU_EVEN), n // 2 + 1):
+        _TAU_EVEN[k] = -sum(
+            _TAU_EVEN[k - s] / (4**s * factorial(2 * s + 1)) for s in range(1, k + 1)
+        )
+    return _TAU_EVEN[n // 2]
 
 
 # ---------------------------------------------------------------------------

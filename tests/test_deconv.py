@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import reconkernel
+import reconkernel.deconv as deconv_module
 from reconkernel.deconv import (
     deconv_forward_coeff,
     deconv_inverse_coeff,
@@ -20,7 +21,7 @@ from reconkernel.deconv import (
 )
 from reconkernel.exact import RatPoly, ValidationError
 from reconkernel.recon import pair_h_from_f
-from oracles import tau_gf_oracle
+from oracles import tau_gf_oracle, tau_recurrence_oracle
 
 # frozen even-index values through index 20
 TAU_TABLE = {
@@ -47,9 +48,35 @@ class TestTau:
     def test_odd_values_vanish(self, n):
         assert tau(n) == 0
 
-    @pytest.mark.parametrize("n", range(41))
+    @pytest.mark.parametrize("n", [*range(41), 64, 100, 300, 600])
     def test_generating_function_oracle_agrees(self, n):
         assert tau(n) == tau_gf_oracle(n)
+
+    def test_recurrence_oracle_agrees_through_the_cli_limit(self):
+        # the paper's definition against the tangent numbers, n = 0..600
+        assert [n for n in range(601) if tau(n) != tau_recurrence_oracle(n)] == []
+
+    def test_tangent_numbers(self):
+        # tan x = x + 2 x^3/3! + 16 x^5/5! + 272 x^7/7! + 7936 x^9/9! + ...
+        assert deconv_module._tangent_numbers(6) == [0, 1, 2, 16, 272, 7936, 353792]
+
+    def test_a_table_is_refilled_to_twice_its_length(self, monkeypatch):
+        monkeypatch.setattr(deconv_module, "_TANGENT", [0])
+        fills = []
+        build = deconv_module._tangent_numbers
+
+        def recording(n):
+            fills.append(n)
+            return build(n)
+
+        monkeypatch.setattr(deconv_module, "_tangent_numbers", recording)
+        tau.cache_clear()
+        try:
+            assert [tau(n) for n in range(301)] == [tau_recurrence_oracle(n) for n in range(301)]
+        finally:
+            tau.cache_clear()
+        assert fills == [2, 6, 14, 30, 62, 126, 254]
+        assert len(deconv_module._TANGENT) == 255
 
     def test_signs_alternate_and_magnitudes_decrease(self):
         values = [tau(2 * k) for k in range(1, 21)]
@@ -63,13 +90,13 @@ class TestTau:
             tau(bad)
 
     def test_cold_calls_fill_memos_without_deep_recursion(self):
-        # tau is filled bottom-up, so a fresh process answers deep indices
-        # under a tiny recursion limit
+        # tau reads a tangent table filled by iteration, so a fresh process
+        # answers the CLI limit under a tiny recursion limit
         script = (
             "import sys\n"
             "from reconkernel.deconv import tau\n"
             "sys.setrecursionlimit(150)\n"
-            "print(tau(300))\n"
+            "print(tau(600))\n"
         )
         src = str(Path(reconkernel.__file__).resolve().parent.parent)
         proc = subprocess.run(
@@ -80,7 +107,7 @@ class TestTau:
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == [str(tau(300))]
+        assert proc.stdout.split() == [str(tau(600))]
 
 
 class TestForwardInverse:

@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+import threading
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -68,6 +70,7 @@ from oracles import (
     sigma_half_recurrence_oracle,
     sigma_pole_analysis_rebuild_oracle,
     sigma_weights_symbolic_oracle,
+    tau_recurrence_oracle,
 )
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
@@ -503,14 +506,77 @@ class TestRemainderKernel:
             assert error_expansion(s, kind, 14) == expected[kind]
             assert nodes == [s.m + 1 + kind.endswith("h")] * (14 - s.m), kind
 
-    def test_remainders_are_the_long_division(self):
+    def test_remainders_are_the_long_division(self, monkeypatch):
+        # a cold table asked for 5 rows and then for 30 keeps the first 5
+        # rows it built and appends the rest
+        monkeypatch.setattr(vandermonde_module, "_REMAINDERS", {})
         for nodes in (range(-3, 4), range(-7, 8, 2), range(5, 9), range(0, 1)):
             omega = vandermonde_module._node_poly(nodes)
+            short = vandermonde_module._power_remainders(nodes, 5)
             rems = vandermonde_module._power_remainders(nodes, 30)
+            assert (len(short), len(rems)) == (6, 31)
+            assert all(a is b for a, b in zip(short, rems))
+            assert vandermonde_module._power_remainders(nodes, 12) is rems
             for j, r in enumerate(rems):
                 assert len(r) == len(nodes)
                 expected = exact_module._divmod_int([0] * j + [1], omega)[1]
                 assert r == expected + [0] * (len(r) - len(expected)), (nodes, j)
+
+    @pytest.mark.parametrize("kind", ["f", "h", "lambda-f", "lambda-h"])
+    def test_one_node_polynomial_per_node_range(self, monkeypatch, kind):
+        # every order of a cold expansion reads one remainder table
+        s = Stencil(3, 4)
+        expected = error_expansion(s, kind, 150)
+        build = vandermonde_module._node_poly
+        built = []
+
+        def recording(nodes):
+            built.append(nodes)
+            return build(nodes)
+
+        monkeypatch.setattr(vandermonde_module, "_REMAINDERS", {})
+        monkeypatch.setattr(vandermonde_module, "_node_poly", recording)
+        for memoized in (mu_f, mu_h, lambda_f, lambda_h):
+            memoized.cache_clear()
+        assert error_expansion(s, kind, 150) == expected
+        assert built == [weno._faces(s) if kind.endswith("h") else s.offsets()]
+
+    def test_concurrent_cold_fills_agree(self, monkeypatch):
+        # four threads fill tau(0..400) and one remainder table from cold,
+        # in different orders and to different lengths, with no lock
+        nodes = range(-6, 8)
+        omega = vandermonde_module._node_poly(nodes)
+        rows = [exact_module._divmod_int([0] * j + [1], omega)[1] for j in range(121)]
+        expected_rows = [r + [0] * (len(nodes) - len(r)) for r in rows]
+        expected_tau = [tau_recurrence_oracle(n) for n in range(401)]
+        monkeypatch.setattr(deconv_module, "_TANGENT", [0])
+        monkeypatch.setattr(vandermonde_module, "_REMAINDERS", {})
+        tau.cache_clear()
+        results = {}
+
+        def fill(i):
+            order = range(401) if i % 2 else range(400, -1, -1)
+            taus = {n: tau(n) for n in order}
+            for n in (5 * i, 120 - 7 * i, 30 + i, 120):
+                table = vandermonde_module._power_remainders(nodes, n)
+            results[i] = [taus[n] for n in range(401)], list(table)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=fill, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            tau.cache_clear()
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(results) == [0, 1, 2, 3]
+        for taus, table in results.values():
+            assert taus == expected_tau
+            assert table == expected_rows
 
 
 class TestSubstencilWeights:
